@@ -469,10 +469,8 @@ void RbcaerScheme::redirect_local_misses(const SchemeContext& context,
                                          std::span<const Request> requests,
                                          SlotPlan& plan) const {
   const std::size_t m = context.hotspots.size();
-  const auto cached = [&](std::size_t h, VideoId v) {
-    return std::binary_search(plan.placements[h].begin(),
-                              plan.placements[h].end(), v);
-  };
+  const std::vector<std::uint8_t> hits =
+      placement_hits(requests, plan.assignment, plan.placements);
   // Capacity already spoken for by servable assignments.
   std::vector<std::int64_t> capacity_left(m);
   for (std::size_t h = 0; h < m; ++h) {
@@ -480,30 +478,46 @@ void RbcaerScheme::redirect_local_misses(const SchemeContext& context,
         static_cast<std::int64_t>(context.hotspots[h].service_capacity);
   }
   for (std::size_t r = 0; r < requests.size(); ++r) {
-    const HotspotIndex target = plan.assignment[r];
-    if (target != kCdnServer && cached(target, requests[r].video)) {
-      --capacity_left[target];  // may go negative at overloaded homes
-    }
+    if (hits[r] != 0) --capacity_left[plan.assignment[r]];  // may go < 0
   }
-  // Neighbour lists are shared per home hotspot (as in RandomScheme).
+  // Neighbour lists are shared per home hotspot (as in RandomScheme). They
+  // exclude the home itself and shrink as neighbours run out of capacity:
+  // capacity only falls, so a full neighbour never takes a request again.
   std::vector<std::vector<std::size_t>> neighbours(m);
+  std::vector<std::uint8_t> listed(m, 0);
+  // Per home, the videos whose scan found no candidate, sorted. Placements
+  // are fixed and capacity only falls, so such a scan fails again for every
+  // later request of the pair (DESIGN.md, "per-request slot path").
+  std::vector<std::vector<VideoId>> failed(m);
   std::size_t rerouted = 0;
   for (std::size_t r = 0; r < requests.size(); ++r) {
     const HotspotIndex home = plan.assignment[r];
     if (home == kCdnServer || home >= m) continue;
-    if (cached(home, requests[r].video)) continue;  // served locally
+    if (hits[r] != 0) continue;  // served locally
     auto& pool = neighbours[home];
-    if (pool.empty()) {
+    if (listed[home] == 0) {
+      listed[home] = 1;
       pool = context.hotspot_index.within_radius(
           context.hotspots[home].location, config_.theta2_km);
+      std::erase(pool, std::size_t{home});
     }
-    // Nearest candidate with the video and spare capacity. The pool is
-    // small (θ2-radius), so a linear scan with distance tracking is fine.
+    if (pool.empty()) continue;
+    const VideoId video = requests[r].video;
+    auto& failed_here = failed[home];
+    const auto known =
+        std::lower_bound(failed_here.begin(), failed_here.end(), video);
+    if (known != failed_here.end() && *known == video) continue;
+    // Nearest candidate with the video and spare capacity; ties keep the
+    // earliest in pool order. Full neighbours are dropped in the same pass.
     std::size_t best = m;
     double best_distance = 0.0;
-    for (const std::size_t candidate : pool) {
-      if (candidate == home || capacity_left[candidate] <= 0) continue;
-      if (!cached(candidate, requests[r].video)) continue;
+    std::size_t live = 0;
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      const std::size_t candidate = pool[i];
+      if (capacity_left[candidate] <= 0) continue;
+      pool[live++] = candidate;
+      const auto& cached = plan.placements[candidate];
+      if (!std::binary_search(cached.begin(), cached.end(), video)) continue;
       const double d = distance_km(requests[r].location,
                                    context.hotspots[candidate].location);
       if (best == m || d < best_distance) {
@@ -511,7 +525,11 @@ void RbcaerScheme::redirect_local_misses(const SchemeContext& context,
         best_distance = d;
       }
     }
-    if (best == m) continue;  // genuinely nowhere to go but the CDN
+    pool.resize(live);
+    if (best == m) {  // genuinely nowhere to go but the CDN
+      failed_here.insert(known, video);
+      continue;
+    }
     plan.assignment[r] = static_cast<HotspotIndex>(best);
     --capacity_left[best];
     ++rerouted;

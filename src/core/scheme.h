@@ -9,6 +9,7 @@
 // exactly the inefficiency the paper measures.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -86,6 +87,17 @@ struct SlotPlan {
   [[nodiscard]] bool respects_caches(
       const std::vector<Hotspot>& hotspots) const;
 };
+
+/// For every request r, 1 when targets[r] is a hotspot whose placement list
+/// holds requests[r].video, else 0 (kCdnServer and out-of-range targets
+/// are misses). Equal to a per-request std::binary_search over sorted
+/// placements, computed in bucketed passes instead: requests are
+/// counting-sorted by target, and each hotspot's placements are stamped
+/// into a per-video array before its bucket is scanned. The array is sized
+/// by the largest placed video id, never by a request's.
+[[nodiscard]] std::vector<std::uint8_t> placement_hits(
+    std::span<const Request> requests, std::span<const HotspotIndex> targets,
+    const std::vector<std::vector<VideoId>>& placements);
 
 /// Number of (hotspot, video) placements in `current` that are not in
 /// `previous` — the origin pushes needed to transition between slots

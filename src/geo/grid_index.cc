@@ -61,18 +61,86 @@ GridIndex::GridIndex(std::vector<GeoPoint> points, double cell_km)
   for (std::size_t i = 0; i < points_.size(); ++i) {
     bucket_ids_[cursor[slots[i]]++] = static_cast<std::uint32_t>(i);
   }
+  max_x_ = max_x;
+  max_y_ = max_y;
+  build_nearest_table();
+}
+
+void GridIndex::build_nearest_table() {
+  // About one point per cell, and never more than n+1 cells along an axis,
+  // so the table holds O(n) cells even for a degenerate (thin) layout.
+  const double width = max_x_ - min_x_;
+  const double height = max_y_ - min_y_;
+  const auto n = static_cast<double>(points_.size());
+  const double side =
+      std::max(std::sqrt(width * height / n), std::max(width, height) / n);
+  table_cell_km_ = side > 0.0 ? side : 1.0;  // all points coincide
+  const auto cells_along = [&](double extent) {
+    return std::max<std::int32_t>(
+        1, static_cast<std::int32_t>(std::ceil(extent / table_cell_km_)));
+  };
+  table_cols_ = cells_along(width);
+  table_rows_ = cells_along(height);
+
+  // A query q in cell C has d(q, NN(q)) <= d(q, NN(c)) <= U, where c is C's
+  // centre and U = d(c, NN(c)) + half of C's diagonal. Only points within U
+  // of C can therefore be nearest to any q in C. `pad` absorbs the rounding
+  // of the d^2/sqrt arithmetic and of a query's cell assignment.
+  const double pad = 1e-9 * (1.0 + width + height);
+  const double half_diagonal = table_cell_km_ * std::sqrt(0.5);
+  const std::size_t cell_count = static_cast<std::size_t>(table_cols_) *
+                                 static_cast<std::size_t>(table_rows_);
+  table_offsets_.assign(cell_count + 1, 0);
+  table_ids_.clear();
+  std::vector<std::uint32_t> list;
+  for (std::int32_t row = 0; row < table_rows_; ++row) {
+    for (std::int32_t col = 0; col < table_cols_; ++col) {
+      const double x0 = min_x_ + col * table_cell_km_;
+      const double y0 = min_y_ + row * table_cell_km_;
+      const double x1 = x0 + table_cell_km_;
+      const double y1 = y0 + table_cell_km_;
+      const Projection::Xy centre{(x0 + x1) / 2.0, (y0 + y1) / 2.0};
+      const Projection::Xy& nn = projected_[ring_nearest(centre)];
+      const double reach =
+          std::hypot(nn.x_km - centre.x_km, nn.y_km - centre.y_km) +
+          half_diagonal + pad;
+      const double reach2 = reach * reach;
+      const Cell lo = cell_of({x0 - reach, y0 - reach});
+      const Cell hi = cell_of({x1 + reach, y1 + reach});
+      list.clear();
+      for (std::int32_t r = lo.row; r <= hi.row; ++r) {
+        for (std::int32_t c = lo.col; c <= hi.col; ++c) {
+          const std::size_t slot = cell_slot({c, r});
+          for (std::uint32_t k = bucket_offsets_[slot];
+               k < bucket_offsets_[slot + 1]; ++k) {
+            const std::uint32_t id = bucket_ids_[k];
+            const Projection::Xy& p = projected_[id];
+            // Distance from p to the cell rectangle.
+            const double dx = std::max({0.0, x0 - p.x_km, p.x_km - x1});
+            const double dy = std::max({0.0, y0 - p.y_km, p.y_km - y1});
+            if (dx * dx + dy * dy <= reach2) list.push_back(id);
+          }
+        }
+      }
+      std::sort(list.begin(), list.end());
+      table_ids_.insert(table_ids_.end(), list.begin(), list.end());
+      table_offsets_[static_cast<std::size_t>(row) *
+                         static_cast<std::size_t>(table_cols_) +
+                     static_cast<std::size_t>(col) + 1] =
+          static_cast<std::uint32_t>(table_ids_.size());
+    }
+  }
 }
 
 GridIndex::Cell GridIndex::cell_of(const Projection::Xy& xy) const noexcept {
-  auto clamp = [](std::int32_t v, std::int32_t hi) {
-    return std::max<std::int32_t>(0, std::min(v, hi - 1));
+  // Clamped in floating point before the cast, so a far-away query never
+  // converts an out-of-range value to int.
+  const auto clamp = [](double offset, std::int32_t hi) {
+    return static_cast<std::int32_t>(
+        std::clamp(std::floor(offset), 0.0, static_cast<double>(hi - 1)));
   };
-  return {clamp(static_cast<std::int32_t>(
-                    std::floor((xy.x_km - min_x_) / cell_km_)),
-                cols_),
-          clamp(static_cast<std::int32_t>(
-                    std::floor((xy.y_km - min_y_) / cell_km_)),
-                rows_)};
+  return {clamp((xy.x_km - min_x_) / cell_km_, cols_),
+          clamp((xy.y_km - min_y_) / cell_km_, rows_)};
 }
 
 std::size_t GridIndex::cell_slot(Cell c) const noexcept {
@@ -81,7 +149,40 @@ std::size_t GridIndex::cell_slot(Cell c) const noexcept {
 }
 
 std::size_t GridIndex::nearest(const GeoPoint& query) const {
+  CCDN_REQUIRE(std::isfinite(query.lat) && std::isfinite(query.lon),
+               "non-finite query point");
   const auto q = projection_.to_xy(query);
+  if (!(q.x_km >= min_x_ && q.x_km <= max_x_ && q.y_km >= min_y_ &&
+        q.y_km <= max_y_)) {
+    return ring_nearest(q);
+  }
+  const auto col = std::min(
+      table_cols_ - 1,
+      static_cast<std::int32_t>((q.x_km - min_x_) / table_cell_km_));
+  const auto row = std::min(
+      table_rows_ - 1,
+      static_cast<std::int32_t>((q.y_km - min_y_) / table_cell_km_));
+  const std::size_t slot =
+      static_cast<std::size_t>(row) * static_cast<std::size_t>(table_cols_) +
+      static_cast<std::size_t>(col);
+  // Lists are ascending by id, so a strict < keeps the lowest-index tie.
+  std::size_t best = 0;
+  double best_dist2 = std::numeric_limits<double>::infinity();
+  for (std::uint32_t k = table_offsets_[slot]; k < table_offsets_[slot + 1];
+       ++k) {
+    const std::uint32_t id = table_ids_[k];
+    const double dx = projected_[id].x_km - q.x_km;
+    const double dy = projected_[id].y_km - q.y_km;
+    const double d2 = dx * dx + dy * dy;
+    if (d2 < best_dist2) {
+      best_dist2 = d2;
+      best = id;
+    }
+  }
+  return best;
+}
+
+std::size_t GridIndex::ring_nearest(const Projection::Xy& q) const {
   const Cell center = cell_of(q);
   std::size_t best = 0;
   double best_dist2 = std::numeric_limits<double>::infinity();

@@ -3,6 +3,12 @@
 // Supports nearest-neighbour and radius queries; used to (a) aggregate every
 // user request at its nearest hotspot and (b) enumerate candidate hotspots
 // within the Random-routing / θ radius, without O(N·M) scans.
+//
+// nearest() is answered from a precomputed table: a second grid over the
+// points' bounding box, with about one point per cell, where each cell
+// lists every point that can be the nearest neighbour of some query inside
+// it (DESIGN.md, "per-request slot path"). Queries outside the box fall back
+// to a ring search over the radius-query cells.
 #pragma once
 
 #include <cstdint>
@@ -25,8 +31,14 @@ class GridIndex {
     return points_.at(i);
   }
 
-  /// Index of the nearest point to the query (ties broken by lowest index).
+  /// Index of the nearest point to the query by projected squared distance
+  /// (ties broken by lowest index). Requires finite coordinates.
   [[nodiscard]] std::size_t nearest(const GeoPoint& query) const;
+
+  /// The tangent-plane projection distances are measured in.
+  [[nodiscard]] const Projection& projection() const noexcept {
+    return projection_;
+  }
 
   /// Indices of all points with distance <= radius_km, ascending by index.
   [[nodiscard]] std::vector<std::size_t> within_radius(const GeoPoint& query,
@@ -81,6 +93,9 @@ class GridIndex {
 
   [[nodiscard]] Cell cell_of(const Projection::Xy& xy) const noexcept;
   [[nodiscard]] std::size_t cell_slot(Cell c) const noexcept;
+  /// Exact nearest point by ring search over the radius-query cells.
+  [[nodiscard]] std::size_t ring_nearest(const Projection::Xy& q) const;
+  void build_nearest_table();
 
   std::vector<GeoPoint> points_;
   std::vector<Projection::Xy> projected_;
@@ -90,9 +105,18 @@ class GridIndex {
   std::int32_t rows_ = 0;
   double min_x_ = 0.0;
   double min_y_ = 0.0;
+  double max_x_ = 0.0;
+  double max_y_ = 0.0;
   // CSR-style buckets: ids of points per cell.
   std::vector<std::uint32_t> bucket_offsets_;
   std::vector<std::uint32_t> bucket_ids_;
+  // Nearest-candidate table over [min_x_, max_x_] x [min_y_, max_y_]: CSR
+  // lists of point ids, ascending, one list per table cell.
+  double table_cell_km_ = 1.0;
+  std::int32_t table_cols_ = 1;
+  std::int32_t table_rows_ = 1;
+  std::vector<std::uint32_t> table_offsets_;
+  std::vector<std::uint32_t> table_ids_;
 };
 
 }  // namespace ccdn

@@ -11,6 +11,7 @@
 
 #include "geo/grid_index.h"
 #include "model/types.h"
+#include "util/radix_sort.h"
 
 namespace ccdn {
 
@@ -39,7 +40,7 @@ class SlotDemand {
              std::vector<HotspotIndex> request_home);
 
   [[nodiscard]] std::size_t num_hotspots() const noexcept {
-    return per_hotspot_.size();
+    return loads_.size();
   }
   [[nodiscard]] std::size_t num_requests() const noexcept {
     return total_requests_;
@@ -67,9 +68,13 @@ class SlotDemand {
   }
 
  private:
-  void finalize();
+  /// Build the CSR view from (video << 32 | home, count) records sorted by
+  /// key; records with equal keys are merged.
+  void finalize(std::vector<KeyedIndex>& runs, std::size_t num_hotspots);
 
-  std::vector<std::vector<VideoDemand>> per_hotspot_;
+  // λ_hv of hotspot h is entries_[offsets_[h], offsets_[h + 1]).
+  std::vector<std::size_t> offsets_;
+  std::vector<VideoDemand> entries_;
   std::vector<std::uint32_t> loads_;
   std::vector<HotspotIndex> request_home_;
   std::vector<VideoId> requested_videos_;

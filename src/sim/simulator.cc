@@ -101,17 +101,19 @@ SlotMetrics admit_slot(const std::vector<Hotspot>& hotspots,
     capacity_left[h] = hotspots[h].service_capacity;
   }
   if (served_loads != nullptr) served_loads->assign(hotspots.size(), 0);
+  // Recomputed from the plan, not taken from the scheme, so admission stays
+  // an independent check of what the scheme claims to serve.
+  const std::vector<std::uint8_t> hits =
+      placement_hits(requests, plan.assignment, plan.placements);
 
   for (std::size_t r = 0; r < requests.size(); ++r) {
     const HotspotIndex target = plan.assignment[r];
     bool served = false;
     if (target != kCdnServer) {
       CCDN_ENSURE(target < hotspots.size(), "assignment out of range");
-      const auto& cached = plan.placements[target];
       if (!available.empty() && available[target] == 0) {
         ++metrics.rejected_offline;
-      } else if (!std::binary_search(cached.begin(), cached.end(),
-                              requests[r].video)) {
+      } else if (hits[r] == 0) {
         ++metrics.rejected_placement;
       } else if (capacity_left[target] == 0) {
         ++metrics.rejected_capacity;
@@ -153,6 +155,13 @@ SlotResult process_slot(const SimulationConfig& config,
                         std::span<const Request> slot_requests,
                         std::span<const std::uint8_t> availability) {
   SlotResult result;
+  // Every per-video array downstream is sized by catalog-checked ids.
+  for (const Request& request : slot_requests) {
+    CCDN_REQUIRE(request.video < context.catalog.num_videos,
+                 "request video " + std::to_string(request.video) +
+                     " outside the catalog of " +
+                     std::to_string(context.catalog.num_videos));
+  }
   Stopwatch clock;
   const SlotDemand demand(slot_requests, index);
   result.timings.demand_s = clock.elapsed_seconds();

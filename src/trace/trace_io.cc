@@ -1,5 +1,8 @@
 #include "trace/trace_io.h"
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <utility>
 
 #include "util/error.h"
@@ -12,6 +15,27 @@ const char* const kHeader[] = {"user", "timestamp", "video", "lat", "lon"};
 
 [[noreturn]] void fail_row(std::size_t line, const std::string& what) {
   throw ParseError("trace CSV line " + std::to_string(line) + ": " + what);
+}
+
+/// A user or video id: a non-negative integer that fits 32 bits (a plain
+/// cast would turn -1 into 4294967295).
+std::uint32_t parse_id(const std::string& text, const char* field) {
+  const std::int64_t value = parse_int(text);
+  if (value < 0 || value > std::numeric_limits<std::uint32_t>::max()) {
+    throw ParseError(std::string(field) + " id out of range: '" + text + "'");
+  }
+  return static_cast<std::uint32_t>(value);
+}
+
+/// A finite coordinate within [-limit, limit] degrees. from_chars accepts
+/// "nan" and "inf", which would reach the spatial index as NaN cells.
+double parse_coordinate(const std::string& text, const char* field,
+                        double limit) {
+  const double value = parse_double(text);
+  if (!std::isfinite(value) || value < -limit || value > limit) {
+    throw ParseError(std::string(field) + " out of range: '" + text + "'");
+  }
+  return value;
 }
 }  // namespace
 
@@ -78,11 +102,11 @@ std::optional<Request> TraceReader::next() {
   }
   Request r;
   try {
-    r.user = static_cast<UserId>(parse_int(fields_[0]));
+    r.user = parse_id(fields_[0], "user");
     r.timestamp = parse_int(fields_[1]);
-    r.video = static_cast<VideoId>(parse_int(fields_[2]));
-    r.location.lat = parse_double(fields_[3]);
-    r.location.lon = parse_double(fields_[4]);
+    r.video = parse_id(fields_[2], "video");
+    r.location.lat = parse_coordinate(fields_[3], "latitude", 90.0);
+    r.location.lon = parse_coordinate(fields_[4], "longitude", 180.0);
   } catch (const ParseError& error) {
     fail_row(line_, error.what());
   }

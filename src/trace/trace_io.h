@@ -36,7 +36,8 @@ void write_trace_csv(const std::string& path,
 /// Incremental trace reader: validates the header on construction, then
 /// yields one request per next() call in O(1) memory. ParseError messages
 /// carry the 1-based physical line number of the malformed row (the header
-/// is line 1). The stream variant borrows `in`, which must outlive the
+/// is line 1). Rows with a negative or over-32-bit user/video id, or with a
+/// non-finite or out-of-range latitude/longitude, are malformed. The stream variant borrows `in`, which must outlive the
 /// reader; the path variant owns its file handle.
 class TraceReader {
  public:

@@ -294,5 +294,90 @@ TEST(Rbcaer, EndToEndBeatsNearestOnSkewedWorld) {
             nearest_report.average_distance_km());
 }
 
+/// Miss rerouting as first specified: per-request binary searches over the
+/// placements and a full neighbour scan for every miss, with no caches.
+/// Returns the number of rerouted requests.
+std::size_t reference_reroute(const SchemeContext& context, double theta2_km,
+                              std::span<const Request> requests,
+                              SlotPlan& plan) {
+  const std::size_t m = context.hotspots.size();
+  const auto cached = [&](std::size_t h, VideoId v) {
+    return std::binary_search(plan.placements[h].begin(),
+                              plan.placements[h].end(), v);
+  };
+  std::vector<std::int64_t> capacity_left(m);
+  for (std::size_t h = 0; h < m; ++h) {
+    capacity_left[h] = context.hotspots[h].service_capacity;
+  }
+  for (std::size_t r = 0; r < requests.size(); ++r) {
+    const HotspotIndex target = plan.assignment[r];
+    if (target != kCdnServer && cached(target, requests[r].video)) {
+      --capacity_left[target];
+    }
+  }
+  std::size_t rerouted = 0;
+  for (std::size_t r = 0; r < requests.size(); ++r) {
+    const HotspotIndex home = plan.assignment[r];
+    if (home == kCdnServer || cached(home, requests[r].video)) continue;
+    std::size_t best = m;
+    double best_distance = 0.0;
+    for (const std::size_t candidate : context.hotspot_index.within_radius(
+             context.hotspots[home].location, theta2_km)) {
+      if (candidate == home || capacity_left[candidate] <= 0) continue;
+      if (!cached(candidate, requests[r].video)) continue;
+      const double d = distance_km(requests[r].location,
+                                   context.hotspots[candidate].location);
+      if (best == m || d < best_distance) {
+        best = candidate;
+        best_distance = d;
+      }
+    }
+    if (best == m) continue;
+    plan.assignment[r] = static_cast<HotspotIndex>(best);
+    --capacity_left[best];
+    ++rerouted;
+  }
+  return rerouted;
+}
+
+// The bucketed pass (placement hits, failed-pair cache, shrinking neighbour
+// pools) must reroute exactly the requests the reference scan reroutes.
+TEST(Rbcaer, MissReroutingMatchesReferenceScan) {
+  std::size_t rerouted = 0;
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    for (const double service_fraction : {0.05, 0.2, 0.5}) {
+      WorldConfig config = WorldConfig::evaluation_region();
+      config.num_hotspots = 60;
+      config.num_videos = 400;
+      config.seed = seed;
+      World world = generate_world(config);
+      assign_uniform_capacities(world, service_fraction, 0.05);
+      TraceConfig trace_config;
+      trace_config.num_requests = 6000;
+      trace_config.seed = seed;
+      const auto trace = generate_trace(world, trace_config);
+      const GridIndex index(world.hotspot_locations(), 0.5);
+      const SchemeContext context{world.hotspots(), index,
+                                  VideoCatalog{config.num_videos}};
+      const SlotDemand demand(trace, index);
+
+      RbcaerConfig plain;
+      plain.miss_redirection = false;
+      RbcaerScheme without(plain);
+      SlotPlan want = without.plan_slot(context, trace, demand);
+      const std::size_t want_rerouted = reference_reroute(
+          context, RbcaerConfig{}.theta2_km, trace, want);
+      RbcaerScheme with;
+      const SlotPlan got = with.plan_slot(context, trace, demand);
+      EXPECT_EQ(got.placements, want.placements);
+      EXPECT_EQ(got.assignment, want.assignment)
+          << "seed " << seed << ", service fraction " << service_fraction;
+      EXPECT_EQ(with.last_diagnostics().miss_rerouted, want_rerouted);
+      rerouted += want_rerouted;
+    }
+  }
+  EXPECT_GT(rerouted, 0u);
+}
+
 }  // namespace
 }  // namespace ccdn

@@ -21,14 +21,19 @@ std::vector<GeoPoint> random_points(Rng& rng, std::size_t n) {
   return points;
 }
 
-std::size_t brute_nearest(const std::vector<GeoPoint>& points,
-                          const GeoPoint& query) {
+/// Reference nearest: the grid's projected squared distance, lowest index
+/// on ties — the contract GridIndex::nearest promises, index for index.
+std::size_t brute_nearest(const GridIndex& index, const GeoPoint& query) {
+  const auto q = index.projection().to_xy(query);
   std::size_t best = 0;
-  double best_d = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const double d = distance_km(points[i], query);
-    if (d < best_d) {
-      best_d = d;
+  double best_d2 = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < index.size(); ++i) {
+    const auto p = index.projection().to_xy(index.point(i));
+    const double dx = p.x_km - q.x_km;
+    const double dy = p.y_km - q.y_km;
+    const double d2 = dx * dx + dy * dy;
+    if (d2 < best_d2) {
+      best_d2 = d2;
       best = i;
     }
   }
@@ -76,11 +81,7 @@ TEST_P(GridIndexProperty, NearestMatchesBruteForce) {
   for (int q = 0; q < 50; ++q) {
     const GeoPoint query{rng.uniform(39.98, 40.12),
                          rng.uniform(116.38, 116.62)};
-    const std::size_t got = index.nearest(query);
-    const std::size_t want = brute_nearest(points, query);
-    // Equal distance ties may resolve differently; compare distances.
-    EXPECT_NEAR(distance_km(points[got], query),
-                distance_km(points[want], query), 1e-9);
+    EXPECT_EQ(index.nearest(query), brute_nearest(index, query));
   }
 }
 
@@ -177,6 +178,114 @@ TEST(GridIndex, WithinRadiusZeroRadius) {
             (std::vector<std::size_t>{0}));
   EXPECT_THROW((void)index.within_radius({40.0, 116.5}, -1.0),
                PreconditionError);
+}
+
+TEST(GridIndex, NearestRequiresFiniteQuery) {
+  const GridIndex index({{40.0, 116.5}, {40.05, 116.55}}, 1.0);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW((void)index.nearest({nan, 116.5}), PreconditionError);
+  EXPECT_THROW((void)index.nearest({40.0, inf}), PreconditionError);
+  EXPECT_THROW((void)index.nearest({-inf, nan}), PreconditionError);
+}
+
+TEST(GridIndex, NearestOnePointIndex) {
+  const GridIndex index({{40.0, 116.5}}, 0.5);
+  for (const GeoPoint query : {GeoPoint{40.0, 116.5}, GeoPoint{39.0, 115.0},
+                               GeoPoint{40.3, 116.9}, GeoPoint{-60.0, 10.0}}) {
+    EXPECT_EQ(index.nearest(query), 0u);
+  }
+}
+
+TEST(GridIndex, NearestCoLocatedDuplicatesPickLowestIndex) {
+  // Clusters of exact duplicates: every query must resolve to the lowest
+  // index of its nearest cluster, wherever that cluster sits in the table.
+  Rng rng(41);
+  std::vector<GeoPoint> points;
+  for (int cluster = 0; cluster < 12; ++cluster) {
+    const GeoPoint at{rng.uniform(40.00, 40.10), rng.uniform(116.40, 116.60)};
+    for (int copy = 0; copy < 1 + cluster % 4; ++copy) points.push_back(at);
+  }
+  // Interleave a few singletons after the duplicates.
+  for (const GeoPoint& p : random_points(rng, 5)) points.push_back(p);
+  const GridIndex index(points, 0.5);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const std::size_t got = index.nearest(points[i]);
+    EXPECT_EQ(points[got], points[i]);
+    EXPECT_LE(got, i);
+    EXPECT_EQ(got, brute_nearest(index, points[i]));
+  }
+  for (int q = 0; q < 300; ++q) {
+    const GeoPoint query{rng.uniform(39.99, 40.11),
+                         rng.uniform(116.39, 116.61)};
+    EXPECT_EQ(index.nearest(query), brute_nearest(index, query));
+  }
+}
+
+TEST(GridIndex, NearestOnCellEdges) {
+  // A 6x6 lattice puts points on radius-grid cell boundaries and makes
+  // many queries equidistant from several points, so the lowest-index tie
+  // rule decides. Queries step along both the nearest table's edges (the
+  // box width over 6: about one point per cell) and the radius grid's
+  // 0.5 km edges.
+  const Projection lattice(GeoPoint{40.0, 116.5});
+  std::vector<GeoPoint> points;
+  for (int row = 0; row < 6; ++row) {
+    for (int col = 0; col < 6; ++col) {
+      points.push_back(lattice.to_geo({col * 0.5, row * 0.5}));
+    }
+  }
+  const GridIndex index(points, 0.5);
+  const Projection& projection = index.projection();
+  const Projection::Xy lo = projection.to_xy(points.front());
+  const Projection::Xy hi = projection.to_xy(points.back());
+  const auto check = [&](double step_x, double step_y) {
+    for (int i = -2; i <= 26; ++i) {
+      for (int j = -2; j <= 26; ++j) {
+        const GeoPoint query =
+            projection.to_geo({lo.x_km + i * step_x, lo.y_km + j * step_y});
+        EXPECT_EQ(index.nearest(query), brute_nearest(index, query))
+            << "query step (" << i << ", " << j << ")";
+      }
+    }
+  };
+  check((hi.x_km - lo.x_km) / 24.0, (hi.y_km - lo.y_km) / 24.0);
+  check(0.125, 0.125);
+}
+
+TEST(GridIndex, NearestOutsideBoundingBox) {
+  Rng rng(5);
+  const auto points = random_points(rng, 200);
+  const GridIndex index(points, 0.5);
+  for (int q = 0; q < 300; ++q) {
+    // Up to ~30 km beyond the point box on every side.
+    const GeoPoint query{rng.uniform(39.7, 40.4), rng.uniform(116.0, 117.0)};
+    EXPECT_EQ(index.nearest(query), brute_nearest(index, query));
+  }
+  EXPECT_EQ(index.nearest({10.0, 10.0}), brute_nearest(index, {10.0, 10.0}));
+}
+
+TEST(GridIndex, NearestLongThinLayout) {
+  // ~40 km of road with points ~2 m apart across it: the table must stay
+  // O(n) and exact on a near-degenerate box.
+  Rng rng(9);
+  std::vector<GeoPoint> points;
+  for (int i = 0; i < 400; ++i) {
+    points.push_back({40.0 + rng.uniform(0.0, 0.00002),
+                      rng.uniform(116.2, 116.7)});
+  }
+  points.push_back({40.0, 116.45});  // and exactly on the axis
+  for (const double cell : {0.25, 2.0}) {
+    const GridIndex index(points, cell);
+    for (int q = 0; q < 300; ++q) {
+      const GeoPoint query{rng.uniform(39.999, 40.001),
+                           rng.uniform(116.19, 116.71)};
+      EXPECT_EQ(index.nearest(query), brute_nearest(index, query));
+    }
+    for (const GeoPoint& p : points) {
+      EXPECT_EQ(index.nearest(p), brute_nearest(index, p));
+    }
+  }
 }
 
 TEST(GridIndex, DuplicatePointsAllReturned) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace ccdn {
 namespace {
@@ -93,6 +94,64 @@ TEST(SlotDemand, EmptyRequestSpan) {
   EXPECT_EQ(demand.load(0), 0u);
   EXPECT_TRUE(demand.requested_videos().empty());
 }
+
+class SlotDemandRandomTrace
+    : public ::testing::TestWithParam<std::tuple<std::size_t, VideoId>> {};
+
+// The radix-built view must equal a brute-force aggregation fed through the
+// per-hotspot-vector constructor, field for field.
+TEST_P(SlotDemandRandomTrace, MatchesBruteForceAggregation) {
+  const auto [num_requests, num_videos] = GetParam();
+  Rng rng(num_requests * 17 + num_videos);
+  std::vector<GeoPoint> hotspots;
+  for (int h = 0; h < 40; ++h) {
+    hotspots.push_back({rng.uniform(40.00, 40.10), rng.uniform(116.40, 116.60)});
+  }
+  const GridIndex index(hotspots, 0.5);
+  std::vector<Request> requests;
+  for (std::size_t r = 0; r < num_requests; ++r) {
+    // Some requests fall outside the hotspot box; video ids span beyond
+    // 16 bits when num_videos does, exercising every radix digit.
+    requests.push_back(make_request(
+        static_cast<VideoId>(rng.index(num_videos)),
+        rng.uniform(39.99, 40.11), rng.uniform(116.39, 116.61)));
+  }
+  const SlotDemand got(requests, index);
+
+  std::vector<std::vector<VideoDemand>> brute(hotspots.size());
+  std::vector<HotspotIndex> homes;
+  for (const Request& request : requests) {
+    const auto home = static_cast<HotspotIndex>(index.nearest(request.location));
+    homes.push_back(home);
+    brute[home].push_back({request.video, 1});
+  }
+  const SlotDemand want(std::move(brute));
+
+  ASSERT_EQ(got.num_hotspots(), want.num_hotspots());
+  EXPECT_EQ(got.num_requests(), want.num_requests());
+  for (HotspotIndex h = 0; h < got.num_hotspots(); ++h) {
+    EXPECT_EQ(got.load(h), want.load(h));
+    const auto a = got.video_demand(h);
+    const auto b = want.video_demand(h);
+    ASSERT_EQ(a.size(), b.size()) << "hotspot " << h;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].video, b[i].video);
+      EXPECT_EQ(a[i].count, b[i].count);
+    }
+  }
+  EXPECT_EQ(std::vector<HotspotIndex>(got.request_home().begin(),
+                                      got.request_home().end()),
+            homes);
+  EXPECT_EQ(std::vector<VideoId>(got.requested_videos().begin(),
+                                 got.requested_videos().end()),
+            std::vector<VideoId>(want.requested_videos().begin(),
+                                 want.requested_videos().end()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SizesAndCatalogs, SlotDemandRandomTrace,
+    ::testing::Combine(::testing::Values<std::size_t>(1, 300, 5000),
+                       ::testing::Values<VideoId>(7, 2000, 300000)));
 
 }  // namespace
 }  // namespace ccdn

@@ -293,6 +293,20 @@ TEST(Simulator, RejectsEmptyHotspotsOrCatalog) {
                PreconditionError);
 }
 
+TEST(Simulator, RejectsOutOfCatalogVideo) {
+  const auto hotspots = two_hotspots(10);
+  const std::vector<Request> requests{request_at({40.05, 116.46}, 3),
+                                      request_at({40.05, 116.46}, 10)};
+  for (const std::size_t threads : {1, 2}) {
+    SimulationConfig config;
+    config.num_threads = threads;
+    Simulator simulator(hotspots, VideoCatalog{10}, config);
+    NearestScheme scheme;
+    EXPECT_THROW((void)simulator.run(scheme, requests), PreconditionError)
+        << threads << " threads";
+  }
+}
+
 TEST(SimulationReport, EmptyTraceSafeMetrics) {
   const auto hotspots = two_hotspots(1);
   Simulator simulator(hotspots, VideoCatalog{10});

@@ -129,6 +129,49 @@ TEST(TraceReaderTest, WrongFieldCountNamesExactLine) {
   }
 }
 
+class TraceReaderHostileRow : public ::testing::TestWithParam<const char*> {};
+
+// Each row parses as numbers but is not a valid request; the reader must
+// reject it with the row's line, before a NaN reaches the spatial index or
+// a negative id wraps to 4294967295.
+TEST_P(TraceReaderHostileRow, RejectedWithLineNumber) {
+  std::istringstream in(std::string("user,timestamp,video,lat,lon\n"
+                                    "1,100,10,40.0,116.5\n") +
+                        GetParam() + "\n");
+  TraceReader reader(in);
+  EXPECT_TRUE(reader.next().has_value());
+  try {
+    (void)reader.next();
+    FAIL() << "expected ParseError on row '" << GetParam() << "'";
+  } catch (const ParseError& error) {
+    EXPECT_NE(std::string(error.what()).find("line 3"), std::string::npos)
+        << error.what();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Rows, TraceReaderHostileRow,
+    ::testing::Values("2,200,11,nan,116.5", "2,200,11,40.0,NaN",
+                      "2,200,11,inf,116.5", "2,200,11,40.0,-inf",
+                      "2,200,11,infinity,116.5", "2,200,11,90.5,116.5",
+                      "2,200,11,-91,116.5", "2,200,11,40.0,180.01",
+                      "2,200,11,40.0,-540", "2,200,-1,40.0,116.5",
+                      "-3,200,11,40.0,116.5", "2,200,4294967296,40.0,116.5",
+                      "4294967296,200,11,40.0,116.5"));
+
+TEST(TraceReaderTest, AcceptsBoundaryValues) {
+  std::istringstream in(
+      "user,timestamp,video,lat,lon\n"
+      "0,0,0,-90,-180\n"
+      "4294967295,5,4294967295,90,180\n");
+  const auto rows = read_trace_csv(in);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[1].user, 4294967295u);
+  EXPECT_EQ(rows[1].video, 4294967295u);
+  EXPECT_DOUBLE_EQ(rows[0].location.lat, -90.0);
+  EXPECT_DOUBLE_EQ(rows[1].location.lon, 180.0);
+}
+
 TEST(TraceWriterTest, BatchedAppendsRoundTrip) {
   std::vector<Request> requests(5);
   for (std::size_t i = 0; i < requests.size(); ++i) {

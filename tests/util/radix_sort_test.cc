@@ -77,6 +77,26 @@ TEST(RadixSort, MatchesStableSortOnDoubleKeys) {
                              }));
 }
 
+TEST(RadixSort, MatchesStableSortOnPackedIdKeys) {
+  // (video << 32 | home) keys as SlotDemand packs them: the varying bits
+  // sit in two narrow spans inside separate digits, one of them straddling
+  // a digit boundary, with fixed high bits that never vary.
+  Rng rng(99);
+  std::vector<KeyedIndex> items;
+  std::vector<KeyedIndex> swap;
+  std::vector<std::uint32_t> hist;
+  for (std::uint32_t i = 0; i < 4000; ++i) {
+    const std::uint64_t home = 8 + 8 * (rng() % 37);
+    const std::uint64_t video = 0x2000 + (rng() % 70000);
+    items.push_back({(video << 32) | home | (std::uint64_t{1} << 63), i});
+  }
+  const auto want = sorted_by_std(items);
+  radix_sort_keyed(items, swap, hist);
+  expect_same(items, want);
+  // Histograms span only the varying bits, not four full 16-bit digits.
+  EXPECT_LT(hist.size(), std::size_t{3} << 16);
+}
+
 TEST(RadixSort, AllKeysEqualKeepsOrder) {
   std::vector<KeyedIndex> items;
   std::vector<KeyedIndex> swap;
