@@ -26,22 +26,20 @@ struct SweepOutcome {
   double graph_s = 0.0;
   double mcmf_s = 0.0;
   std::size_t potential_reprices = 0;
-  std::size_t online_patches = 0;
 };
 
 /// Algorithm 1's flow phase: θ sweep over Gc (or Gd when aggregation is
 /// off), then the residual Gd pass at θ2. Shared verbatim by the unsharded
 /// slot and by every shard's local solve — sharing the code is what keeps
-/// shard=1 plans bit-identical to the unsharded path. `cache` non-null
-/// selects online candidate generation (the caller already validated
-/// online mode); the cold rebuild-per-θ path ignores `sweeper`.
+/// shard=1 plans bit-identical to the unsharded path. The cold
+/// rebuild-per-θ path ignores `sweeper`.
 SweepOutcome run_theta_sweep(const RbcaerConfig& config,
                              std::span<const Hotspot> hotspots,
                              const GridIndex& index,
                              HotspotPartition& partition,
                              std::int64_t max_movable,
                              std::span<const std::uint32_t> cluster_of,
-                             ThetaSweeper& sweeper, CandidateCache* cache,
+                             ThetaSweeper& sweeper,
                              std::vector<CandidateEdge>& candidate_buf) {
   SweepOutcome out;
   Stopwatch stage_clock;
@@ -67,30 +65,16 @@ SweepOutcome run_theta_sweep(const RbcaerConfig& config,
 
   constexpr double kThetaEps = 1e-9;
   // Radius query per overloaded hotspot via the shared spatial index,
-  // instead of scanning every (overloaded, under-utilized) pair. The
-  // cold path needs the candidates up front; the incremental path only
-  // when the online scaffold patch does not apply, so it generates them
-  // inside its own branch.
+  // instead of scanning every (overloaded, under-utilized) pair.
   const auto generate_candidates = [&] {
     return candidate_edges(hotspots, partition, config.theta2_km, index);
   };
   if (config.incremental_sweep) {
     const std::size_t reprices_before = sweeper.potential_reprices();
-    const std::size_t patches_before = sweeper.online_patches();
     stage_clock.reset();
-    // Online slots first try the cross-slot patch; when membership
-    // changed (or on the first slot) fall back to a full begin_slot,
-    // with candidate generation served from the cross-slot cache.
-    if (!cache || !sweeper.begin_slot_online(partition)) {
-      if (cache) {
-        cache->collect(hotspots, partition, config.theta2_km, index,
-                       candidate_buf);
-      } else {
-        candidate_buf = generate_candidates();
-      }
-      sweeper.begin_slot(partition,
-                         std::span<const CandidateEdge>(candidate_buf));
-    }
+    candidate_buf = generate_candidates();
+    sweeper.begin_slot(partition,
+                       std::span<const CandidateEdge>(candidate_buf));
     out.graph_s += stage_clock.elapsed_seconds();
     double theta = config.theta1_km;
     while (theta <= config.theta2_km + kThetaEps && out.moved < max_movable) {
@@ -108,7 +92,6 @@ SweepOutcome run_theta_sweep(const RbcaerConfig& config,
     }
     sweeper.end_slot();
     out.potential_reprices = sweeper.potential_reprices() - reprices_before;
-    out.online_patches = sweeper.online_patches() - patches_before;
   } else {
     stage_clock.reset();
     const std::vector<CandidateEdge> candidates = generate_candidates();
@@ -207,13 +190,12 @@ ShardFlowResult solve_shard_instance(const RbcaerConfig& config,
   // (candidate_edges applies the exact distance cut and sorts receivers by
   // index), so any grid works; mirror the simulator's cell.
   const GridIndex index(std::move(locations), 0.5);
-  ThetaSweeper sweeper(config.mcmf_strategy, config.integer_costs,
-                       config.cost_scale);
+  ThetaSweeper sweeper(config.mcmf_strategy);
   sweeper.set_audit_level(config.audit_level);
   std::vector<CandidateEdge> candidate_buf;
   SweepOutcome sweep =
       run_theta_sweep(config, sub_hotspots, index, partition, max_movable,
-                      cluster_of, sweeper, nullptr, candidate_buf);
+                      cluster_of, sweeper, candidate_buf);
   out.moved = sweep.moved;
   out.guide_nodes = sweep.guide_nodes;
   out.theta_iterations = sweep.theta_iterations;
@@ -238,22 +220,22 @@ ShardFlowResult solve_shard_instance(const RbcaerConfig& config,
 }  // namespace
 
 RbcaerScheme::RbcaerScheme(RbcaerConfig config)
-    : config_(config),
-      sweeper_(config.mcmf_strategy, config.integer_costs,
-               config.cost_scale) {
+    : config_(config), sweeper_(config.mcmf_strategy) {
+  // Finite radii and a step that actually advances θ2: otherwise the θ
+  // loops never reach their bound and ∞ reaches the grid's radius query.
+  CCDN_REQUIRE(std::isfinite(config_.theta1_km) &&
+                   std::isfinite(config_.theta2_km) &&
+                   std::isfinite(config_.delta_km),
+               "non-finite theta1, theta2 or delta");
   CCDN_REQUIRE(config_.theta1_km >= 0.0, "negative theta1");
   CCDN_REQUIRE(config_.theta2_km >= config_.theta1_km,
                "theta2 below theta1");
   CCDN_REQUIRE(config_.delta_km > 0.0, "non-positive delta");
+  CCDN_REQUIRE(config_.theta2_km + config_.delta_km > config_.theta2_km,
+               "delta too small to advance theta past theta2");
   CCDN_REQUIRE(config_.top_fraction > 0.0 && config_.top_fraction <= 1.0,
                "top_fraction outside (0,1]");
   CCDN_REQUIRE(config_.bpeak_multiplier > 0.0, "non-positive B_peak");
-  CCDN_REQUIRE(!config_.online || config_.incremental_sweep,
-               "online mode requires the incremental sweep");
-  CCDN_REQUIRE(!config_.integer_costs || config_.incremental_sweep,
-               "integer costs require the incremental sweep (the cold "
-               "oracle path is double-only)");
-  CCDN_REQUIRE(config_.cost_scale > 0.0, "non-positive cost scale");
   sweeper_.set_audit_level(config_.audit_level);
 }
 
@@ -306,9 +288,6 @@ SlotPlan RbcaerScheme::plan_slot(const SchemeContext& context,
   const std::size_t num_shards = std::min(
       config_.num_shards != 0 ? config_.num_shards : context.num_shards, m);
   const bool sharded = num_shards >= 1;
-  CCDN_REQUIRE(!sharded || !config_.online,
-               "sharded planning is incompatible with online mode (the "
-               "cross-slot scaffold lives in one process)");
 
   // --- Content clustering (only needed when aggregation is on and there
   // is anything to move; sharded slots cluster per shard instead). ---
@@ -335,13 +314,11 @@ SlotPlan RbcaerScheme::plan_slot(const SchemeContext& context,
     } else {
       SweepOutcome sweep = run_theta_sweep(
           config_, context.hotspots, context.hotspot_index, partition,
-          diagnostics_.max_movable, cluster_of, sweeper_,
-          config_.online ? &candidate_cache_ : nullptr, candidate_buf_);
+          diagnostics_.max_movable, cluster_of, sweeper_, candidate_buf_);
       diagnostics_.moved = sweep.moved;
       diagnostics_.guide_nodes = sweep.guide_nodes;
       diagnostics_.theta_iterations = sweep.theta_iterations;
       diagnostics_.potential_reprices = sweep.potential_reprices;
-      diagnostics_.online_patches = sweep.online_patches;
       stage_timings_.graph_s += sweep.graph_s;
       stage_timings_.mcmf_s += sweep.mcmf_s;
       flows = std::move(sweep.flows);
@@ -406,12 +383,11 @@ std::vector<FlowEntry> RbcaerScheme::plan_shard_flows(
     shard_plan_.last = context.hotspots.back().location;
   }
 
-  // The child solve must not touch this object's pool, cache, or sweeper:
+  // The child solve must not touch this object's pool or sweeper:
   // a neutralized config makes solve_shard_instance a pure function of
   // (config, hotspots, demand, members) — safe in a forked child and
   // bit-identical in-process.
   RbcaerConfig child_config = config_;
-  child_config.online = false;
   child_config.num_shards = 0;
   child_config.jd_threads = 1;
 

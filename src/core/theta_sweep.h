@@ -33,16 +33,7 @@
 //    scaffold: truncate back to the scaffold checkpoint, append the current
 //    Gc structure from pre-allocated buffers, augment. Because the φ-shaped
 //    caps match a cold rebuild exactly, this regime reproduces the cold
-//    path's flows bit for bit. Under the SPFA engine the transient epochs
-//    additionally carry node potentials from epoch to epoch (harvested from
-//    each epoch's final search, re-certified by reprice_from on the next) —
-//    SPFA never reads them, so the flows are untouched, but the Johnson
-//    machinery stays live and auditable across the teardowns.
-//
-// A third entry point, begin_slot_online, extends the reuse across SLOT
-// boundaries: when consecutive slots share their overloaded/under-utilized
-// membership, the scaffold and candidate index survive and only the arc
-// capacities are re-armed to the new slot's φ — see DESIGN.md §3.10.
+//    path's flows bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -75,26 +66,10 @@ class ThetaSweeper {
   /// bit-for-bit identical. Gd steps always use the carried-potentials
   /// Dijkstra engine (see gd_solver_); plain distance costs make ties
   /// measure-zero, so the flows still match the cold path's solutions.
-  ///
-  /// `integer_costs` switches both engines into the fixed-point domain
-  /// (McmfConfig::integer_costs): every slot's network carries the
-  /// quantized cost mirror at `cost_scale` units per km, searches compare
-  /// exactly, and the Gd engine's Dijkstra runs on the monotone radix
-  /// heap. Plan-equality variant, not a digest oracle — and under
-  /// strategy == kDijkstraPotentials the Gc epochs' zero-cost ties pop in
-  /// heap-specific order, so only the plan's VALUE (moved, min cost) is
-  /// guaranteed there; every other regime/strategy combination reproduces
-  /// the double plans exactly (DESIGN.md §3.11).
-  explicit ThetaSweeper(McmfStrategy strategy = McmfStrategy::kSpfa,
-                        bool integer_costs = false,
-                        double cost_scale = kDefaultCostScale)
-      : solver_(McmfConfig{strategy, integer_costs}, &arena_),
-        gd_solver_(McmfConfig{McmfStrategy::kDijkstraPotentials,
-                              integer_costs},
-                   &arena_),
-        strategy_(strategy),
-        integer_costs_(integer_costs),
-        cost_scale_(cost_scale) {}
+  explicit ThetaSweeper(McmfStrategy strategy = McmfStrategy::kSpfa)
+      : solver_(strategy, &arena_),
+        gd_solver_(McmfStrategy::kDijkstraPotentials, &arena_),
+        strategy_(strategy) {}
 
   // The lane arena hands out interior pointers to members; moving the
   // sweeper would leave the solvers' buffers pointing into the old object.
@@ -116,26 +91,6 @@ class ThetaSweeper {
     begin_slot(partition, std::span<const CandidateEdge>(candidates));
   }
 
-  /// Cross-slot fast path: start a slot by *patching* the previous slot's
-  /// scaffold instead of rebuilding it. Resumable exactly when the new
-  /// partition's overloaded and under-utilized member lists equal the
-  /// previous slot's — then the candidate set, the node mapping, and the
-  /// scaffold's construction order are all bit-identical to what
-  /// begin_slot would build, and only the φ-shaped arc capacities need
-  /// re-arming (FlowNetwork::reset_edge per scaffold arc). Returns false —
-  /// leaving the sweeper untouched — when membership changed or no
-  /// scaffold is held; the caller falls back to begin_slot. On success the
-  /// Gd Dijkstra potentials survive from the previous slot (re-certified
-  /// by a full-arc reprice_from before the first warm augment), so
-  /// steady-state per-slot cost is O(demand churn). Plan digests are
-  /// bit-identical to the rebuild path either way (DESIGN.md §3.10).
-  [[nodiscard]] bool begin_slot_online(HotspotPartition& partition);
-
-  /// Slots started via the begin_slot_online patch path (vs full rebuilds).
-  [[nodiscard]] std::size_t online_patches() const noexcept {
-    return online_patches_;
-  }
-
   /// Advance the sweep to θ on the plain distance graph Gd.
   SweepStep step_gd(double theta_km);
 
@@ -147,10 +102,10 @@ class ThetaSweeper {
   /// Release the slot (keeps the allocated buffers for the next one).
   void end_slot();
 
-  /// Total SPFA re-prices triggered by potential-invalidating edge
-  /// insertions since construction.
+  /// Total re-prices of the Gd engine's carried potentials triggered by
+  /// potential-invalidating edge insertions since construction.
   [[nodiscard]] std::size_t potential_reprices() const noexcept {
-    return gd_solver_.reprices() + solver_.reprices();
+    return gd_solver_.reprices();
   }
 
   /// At AuditLevel::kFull (and only in checked builds), every step commit
@@ -168,7 +123,7 @@ class ThetaSweeper {
   /// The lane arena backing the sweeper's scratch and both solvers' search
   /// state. Observability only: the steady-state no-allocation property is
   /// asserted by the tests (upstream_blocks()/bytes_reserved() must stop
-  /// moving once identical slots repeat) and reported by the layout benches.
+  /// moving once identical slots repeat).
   [[nodiscard]] const BumpArena& scratch_arena() const noexcept {
     return arena_;
   }
@@ -197,13 +152,9 @@ class ThetaSweeper {
   /// it backs.
   BumpArena arena_;
 
-  /// Gc steps' engine. Under kSpfa it doubles as the transient regime's
-  /// price carrier: SPFA never reads potential_, so the sweeper harvests
-  /// the final failed search's distance labels into it after each epoch's
-  /// augment and re-certifies them (reprice_from over the rebuilt epoch)
-  /// before the next — making reprices() observable on Gc sweeps without
-  /// perturbing the search itself. Under kDijkstraPotentials it resets per
-  /// epoch (carrying prices would change zero-cost tie-breaking).
+  /// Gc steps' engine (and the Gd batch step's). Under kDijkstraPotentials
+  /// it resets its potentials per epoch: carried prices would change
+  /// zero-cost tie-breaking.
   McmfSolver solver_;
   /// Gd steps: Dijkstra with potentials carried across the persistent
   /// regime's appends. Tight potentials make the next path price at
@@ -212,8 +163,6 @@ class ThetaSweeper {
   /// measured ~3x fewer arc scans than SPFA on the same warm graph.
   McmfSolver gd_solver_;
   McmfStrategy strategy_;
-  bool integer_costs_ = false;
-  double cost_scale_ = kDefaultCostScale;
 
   HotspotPartition* partition_ = nullptr;
   // original candidate_edges order
@@ -260,20 +209,6 @@ class ThetaSweeper {
   std::int64_t last_flow_ = 0;
   std::size_t last_guide_nodes_ = 0;
   AuditLevel audit_level_ = AuditLevel::kOff;
-
-  // Cross-slot state for begin_slot_online: the previous slot's partition
-  // membership (the resumability key), the inverse of map_.node_of for
-  // re-arming scaffold arc capacities, and whether a scaffold is held.
-  std::vector<std::uint32_t> prev_overloaded_;
-  std::vector<std::uint32_t> prev_underutilized_;
-  std::vector<std::uint32_t> hotspot_of_node_;
-  bool have_scaffold_ = false;
-  // After an online patch the carried Gd potentials are a whole slot old
-  // and capacity re-arming can resurrect violations on *any* arc, not just
-  // appended ones — the first warm step re-prices from edge 0 instead of
-  // from its append point.
-  bool needs_full_reprice_ = false;
-  std::size_t online_patches_ = 0;
 };
 
 }  // namespace ccdn

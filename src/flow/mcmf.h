@@ -5,18 +5,7 @@
 // are provided: SPFA (Bellman-Ford queue variant; handles the negative
 // residual costs directly) and Dijkstra with Johnson potentials (faster on
 // large sparse graphs). Both produce a maximum flow of minimum total cost.
-//
-// Costs come in two domains (McmfConfig::integer_costs):
-//  - double (default): km of geo-distance, compared with a 1e-9 noise
-//    tolerance. This is the digest oracle — its search decisions define
-//    the plans every other path must reproduce bit for bit.
-//  - fixed-point int32 (opt-in): the network's quantized cost mirror
-//    (FlowNetwork::set_cost_quantization), exact integer comparisons, and
-//    a monotone radix heap instead of the binary heap for the Dijkstra
-//    strategy. Quantization rounds away sub-resolution cost differences,
-//    so tie-breaking — and therefore the chosen paths — can differ from
-//    the double engine's; the contract is plan equality (same flows on
-//    the RBCAer graphs), not digest identity. See DESIGN.md §3.11.
+// Costs are km of geo-distance, compared with a 1e-9 noise tolerance.
 #pragma once
 
 #include <algorithm>
@@ -27,23 +16,12 @@
 
 #include "flow/network.h"
 #include "util/arena.h"
-#include "util/radix_heap.h"
 
 namespace ccdn {
 
 enum class McmfStrategy {
   kSpfa,
   kDijkstraPotentials,
-};
-
-/// Engine selection for a McmfSolver.
-struct McmfConfig {
-  McmfStrategy strategy = McmfStrategy::kSpfa;
-  /// Search in the fixed-point integer-cost domain. Requires every network
-  /// passed to the solver to carry the quantized mirror
-  /// (FlowNetwork::set_cost_quantization). Plan-equality variant, not a
-  /// digest oracle — see the header comment.
-  bool integer_costs = false;
 };
 
 struct McmfResult {
@@ -74,23 +52,18 @@ class McmfSolver {
   static constexpr std::int64_t kUnlimited =
       std::numeric_limits<std::int64_t>::max();
 
-  explicit McmfSolver(McmfStrategy strategy = McmfStrategy::kSpfa)
-      : McmfSolver(McmfConfig{strategy, false}) {}
-  explicit McmfSolver(const McmfConfig& config, BumpArena* arena = nullptr)
-      : strategy_(config.strategy),
-        integer_(config.integer_costs),
+  explicit McmfSolver(McmfStrategy strategy = McmfStrategy::kSpfa,
+                      BumpArena* arena = nullptr)
+      : strategy_(strategy),
         state_(arena),
-        potential_(ArenaAllocator<double>(arena)),
-        ipotential_(ArenaAllocator<std::int64_t>(arena)) {}
+        potential_(ArenaAllocator<double>(arena)) {}
 
   [[nodiscard]] McmfStrategy strategy() const noexcept { return strategy_; }
-  [[nodiscard]] bool integer_costs() const noexcept { return integer_; }
 
   /// Min-cost augmentation from the current residual state until no
   /// source→sink path remains or `flow_limit` additional units have been
   /// routed. Returns the flow and cost of the *increment* routed by this
-  /// call only (cost is reported in km in both domains; the integer engine
-  /// converts through the network's cost_scale()).
+  /// call only.
   McmfResult augment(FlowNetwork& net, NodeId source, NodeId sink,
                      std::int64_t flow_limit = kUnlimited);
 
@@ -134,44 +107,15 @@ class McmfSolver {
   void reprice_from(const FlowNetwork& net, EdgeId first_edge,
                     std::span<const EdgeId> clamp_arcs = {});
 
-  /// Resize the carried potentials to `num_nodes` WITHOUT resetting the
-  /// values already held. Shrinking drops the tail (transient nodes that no
-  /// longer exist); growing fills new slots with the largest existing
-  /// potential — the same "unreached" convention reprice() uses, so arcs
-  /// from old nodes into fresh ones start with non-negative slack whenever
-  /// the old node prices at or below the maximum. A no-op at equal size;
-  /// with no potentials at all it behaves like reset_potentials().
-  void ensure_potentials(std::size_t num_nodes);
-
-  /// Adopt the distance labels of the last (exhausted) search as the
-  /// carried potentials: every node the search saw takes its exact SPFA
-  /// fixpoint distance, every unreached node the largest seen distance.
-  /// Called right after augment() returns — the final path search failed,
-  /// so its labels are true shortest distances over the current residual
-  /// graph and therefore a valid potential vector for it. This is how the
-  /// θ sweep's transient Gc epochs hand their prices forward even though
-  /// the SPFA engine never reads them: the next epoch starts from these
-  /// instead of from nothing, and reprice_from() re-certifies them against
-  /// the rebuilt structure.
-  void harvest_potentials(const FlowNetwork& net);
-
   /// Number of reprice() calls since construction (observability for the
   /// warm-start potentials fallback).
   [[nodiscard]] std::size_t reprices() const noexcept { return reprices_; }
 
   /// The carried node potentials (sized by the last reset_potentials /
-  /// reprice call; empty before either, and empty in integer mode — see
-  /// ipotentials()). Exposed for the flow auditor's reduced-cost check —
-  /// see verify/flow_audit.h.
+  /// reprice call; empty before either). Exposed for the flow auditor's
+  /// reduced-cost check — see verify/flow_audit.h.
   [[nodiscard]] std::span<const double> potentials() const noexcept {
     return potential_;
-  }
-  /// Integer-domain carried potentials (integer mode only; empty
-  /// otherwise). Audited by audit_reduced_costs_int — converting them to
-  /// doubles would re-introduce exactly the quantization error the 1e-9
-  /// tolerance cannot absorb.
-  [[nodiscard]] std::span<const std::int64_t> ipotentials() const noexcept {
-    return ipotential_;
   }
 
  private:
@@ -184,7 +128,6 @@ class McmfSolver {
   struct SearchState {
     explicit SearchState(BumpArena* arena)
         : dist(ArenaAllocator<double>(arena)),
-          idist(ArenaAllocator<std::int64_t>(arena)),
           parent_edge(ArenaAllocator<EdgeId>(arena)),
           seen(ArenaAllocator<std::uint32_t>(arena)),
           settled(ArenaAllocator<std::uint32_t>(arena)),
@@ -193,8 +136,7 @@ class McmfSolver {
           queue(ArenaAllocator<NodeId>(arena)),
           heap(ArenaAllocator<std::pair<double, NodeId>>(arena)) {}
 
-    ArenaVector<double> dist;         // double engine labels
-    ArenaVector<std::int64_t> idist;  // integer engine labels
+    ArenaVector<double> dist;
     ArenaVector<EdgeId> parent_edge;
     ArenaVector<std::uint32_t> seen;     // stamp: dist/parent valid
     ArenaVector<std::uint32_t> settled;  // stamp: Dijkstra label final
@@ -202,26 +144,19 @@ class McmfSolver {
     ArenaVector<char> in_queue;  // SPFA membership; all-zero between runs
     ArenaVector<NodeId> queue;   // SPFA deque storage
     ArenaVector<std::pair<double, NodeId>> heap;  // Dijkstra binary heap
-    RadixHeap64 rheap;  // integer Dijkstra bucket heap
     std::uint32_t stamp = 0;
 
     /// Open a new search over `n` nodes: bump the stamp (invalidating all
-    /// labels) and grow the buffers if the network grew. Only the active
-    /// domain's distance array is kept sized.
-    void begin_search(std::size_t n, bool integer) {
+    /// labels) and grow the buffers if the network grew.
+    void begin_search(std::size_t n) {
       if (++stamp == 0) {  // wrapped: old stamps would alias as live
         std::fill(seen.begin(), seen.end(), 0);
         std::fill(settled.begin(), settled.end(), 0);
         stamp = 1;
       }
       touched.clear();
-      const std::size_t labels = integer ? idist.size() : dist.size();
-      if (labels < n) {
-        if (integer) {
-          idist.resize(n);
-        } else {
-          dist.resize(n);
-        }
+      if (dist.size() < n) {
+        dist.resize(n);
         parent_edge.resize(n);
         seen.resize(n, 0);
         settled.resize(n, 0);
@@ -233,15 +168,10 @@ class McmfSolver {
   bool spfa(const FlowNetwork& net, NodeId source, NodeId sink);
   bool dijkstra(const FlowNetwork& net, NodeId source, NodeId sink);
   void update_potentials(NodeId sink);
-  bool spfa_int(const FlowNetwork& net, NodeId source, NodeId sink);
-  bool dijkstra_int(const FlowNetwork& net, NodeId source, NodeId sink);
-  void update_potentials_int(NodeId sink);
 
   McmfStrategy strategy_;
-  bool integer_ = false;
   SearchState state_;
   ArenaVector<double> potential_;
-  ArenaVector<std::int64_t> ipotential_;
   std::size_t reprices_ = 0;
 };
 

@@ -50,17 +50,6 @@ void FlowNetwork::append_arc(NodeId node, EdgeId arc) {
   arc_pool_[nodes_[node].end++] = arc;
 }
 
-void FlowNetwork::quantize_edge_pair(EdgeId forward) {
-  const double scaled = cost_[forward] * cost_scale_;
-  CCDN_REQUIRE(
-      std::abs(scaled) <=
-          static_cast<double>(std::numeric_limits<std::int32_t>::max()),
-      "cost overflows the int32 fixed-point range at this scale");
-  const auto q = static_cast<std::int32_t>(std::llround(scaled));
-  qcost_[forward] = q;
-  qcost_[forward + 1] = -q;
-}
-
 EdgeId FlowNetwork::add_edge(NodeId from, NodeId to, std::int64_t capacity,
                              double cost) {
   CCDN_REQUIRE(from < nodes_.size() && to < nodes_.size(),
@@ -77,10 +66,6 @@ EdgeId FlowNetwork::add_edge(NodeId from, NodeId to, std::int64_t capacity,
   cost_.push_back(-cost);
   original_caps_.push_back(capacity);
   original_caps_.push_back(0);
-  if (integer_costs()) {
-    qcost_.resize(qcost_.size() + 2);
-    quantize_edge_pair(id);
-  }
   append_arc(from, id);
   append_arc(to, id + 1);
 #ifdef CCDN_ADJACENCY_ORACLE
@@ -89,13 +74,6 @@ EdgeId FlowNetwork::add_edge(NodeId from, NodeId to, std::int64_t capacity,
   oracle_check();
 #endif
   return id;
-}
-
-void FlowNetwork::set_cost_quantization(double scale) {
-  CCDN_REQUIRE(scale > 0.0, "non-positive quantization scale");
-  cost_scale_ = scale;
-  qcost_.resize(to_.size());
-  for (EdgeId e = 0; e + 1 < to_.size(); e += 2) quantize_edge_pair(e);
 }
 
 std::int64_t FlowNetwork::flow(EdgeId e) const {
@@ -121,7 +99,6 @@ void FlowNetwork::reserve(std::size_t nodes, std::size_t edges) {
   residual_.reserve(2 * edges);
   cost_.reserve(2 * edges);
   original_caps_.reserve(2 * edges);
-  if (integer_costs()) qcost_.reserve(2 * edges);
   arc_pool_.reserve(2 * edges);
 }
 
@@ -142,7 +119,6 @@ void FlowNetwork::clear(std::size_t num_nodes) {
   to_.clear();
   residual_.clear();
   cost_.clear();
-  qcost_.clear();
   original_caps_.clear();
 #ifdef CCDN_ADJACENCY_ORACLE
   for (std::size_t n = 0; n < oracle_heads_.size() && n < num_nodes; ++n) {
@@ -169,7 +145,7 @@ void FlowNetwork::truncate(const Checkpoint& cp) {
   // Reclaim the pool tail the dropped nodes' slices occupied (transient
   // guide nodes are appended last, so their slices sit at the tail); the θ
   // sweep's truncate-per-step loop then reuses the same bytes every epoch
-  // instead of growing the pool for the life of an online scaffold.
+  // instead of growing the pool for the life of the slot's scaffold.
   std::uint32_t tail = 0;
   for (const ArcRange& r : nodes_) tail = std::max(tail, r.begin + r.cap);
   arc_pool_.resize(tail);
@@ -177,7 +153,6 @@ void FlowNetwork::truncate(const Checkpoint& cp) {
   to_.resize(cp.stored_edges);
   residual_.resize(cp.stored_edges);
   cost_.resize(cp.stored_edges);
-  if (integer_costs()) qcost_.resize(cp.stored_edges);
   original_caps_.resize(cp.stored_edges);
 #ifdef CCDN_ADJACENCY_ORACLE
   for (std::size_t node = 0; node < cp.nodes; ++node) {
@@ -187,15 +162,6 @@ void FlowNetwork::truncate(const Checkpoint& cp) {
   oracle_heads_.resize(cp.nodes);
   oracle_check();
 #endif
-}
-
-void FlowNetwork::reset_edge(EdgeId e, std::int64_t cap) {
-  CCDN_REQUIRE(e + 1 < to_.size() && (e & 1u) == 0, "not a forward edge id");
-  CCDN_REQUIRE(cap >= 0, "negative capacity");
-  residual_[e] = cap;
-  residual_[e ^ 1u] = 0;
-  original_caps_[e] = cap;
-  original_caps_[e ^ 1u] = 0;
 }
 
 void FlowNetwork::freeze_residuals() noexcept {

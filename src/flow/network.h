@@ -4,7 +4,7 @@
 // overloaded and under-utilized hotspots (paper §IV-A); this is the shared
 // graph representation for the Dinic and MCMF solvers.
 //
-// Storage is laid out for the solvers' inner loops (DESIGN.md §3.11):
+// Storage is laid out for the solvers' inner loops (DESIGN.md §3.10):
 //
 //  - Edge fields live in parallel SoA arrays (to_/residual_/cost_/from_)
 //    instead of an interleaved array of structs, so a relax loop touches
@@ -16,10 +16,6 @@
 //    heap allocation. Slices relocate with amortized doubling when they
 //    outgrow their reservation, and clear() re-packs the pool tightly so
 //    a rebuild-per-slot loop reuses the same bytes every slot.
-//  - Costs can optionally be mirrored into a fixed-point int32 array
-//    (set_cost_quantization) for the integer-cost MCMF engine; the double
-//    costs remain the source of truth and the default solver path never
-//    reads the mirror, which is what keeps default-path digests identical.
 //
 // The network is append-only, with three lifecycle helpers for callers that
 // rebuild graphs in a hot loop (the θ sweep): reserve()/clear() to stop the
@@ -34,9 +30,7 @@
 // always-on reference-model property test).
 #pragma once
 
-#include <cmath>
 #include <cstdint>
-#include <limits>
 #include <span>
 #include <vector>
 
@@ -46,11 +40,6 @@ namespace ccdn {
 
 using NodeId = std::uint32_t;
 using EdgeId = std::uint32_t;
-
-/// Default fixed-point scale for set_cost_quantization: 2^20 units per km
-/// (~1 mm resolution). int32 bounds |cost| < 2048 km, far above the θ radii
-/// and normalized guide costs the RBCAer graphs carry (DESIGN.md §3.11).
-inline constexpr double kDefaultCostScale = 1048576.0;
 
 class FlowNetwork {
  public:
@@ -105,23 +94,6 @@ class FlowNetwork {
     CCDN_ASSERT(e < cost_.size(), "edge id out of range");
     return cost_[e];
   }
-  /// Fixed-point cost mirror; valid only after set_cost_quantization().
-  [[nodiscard]] std::int32_t qcost(EdgeId e) const noexcept {
-    CCDN_ASSERT(integer_costs() && e < qcost_.size(),
-                "quantized cost read without set_cost_quantization");
-    return qcost_[e];
-  }
-
-  /// Mirror every cost into qcost() at `scale` fixed-point units per km
-  /// (qcost = llround(cost * scale), pair arcs exactly negated). Sticky:
-  /// survives clear()/truncate(), and later add_edge() calls quantize as
-  /// they append. Requires |cost * scale| to fit int32 (checked per edge).
-  void set_cost_quantization(double scale);
-  [[nodiscard]] bool integer_costs() const noexcept {
-    return cost_scale_ > 0.0;
-  }
-  [[nodiscard]] double cost_scale() const noexcept { return cost_scale_; }
-
   /// Flow currently pushed through a *forward* edge.
   [[nodiscard]] std::int64_t flow(EdgeId e) const;
   /// Original capacity of a forward edge.
@@ -168,13 +140,6 @@ class FlowNetwork {
   /// slice reservations, so the next transient build appends into the same
   /// pool bytes.
   void truncate(const Checkpoint& cp);
-
-  /// Re-arm a forward edge with a fresh capacity: residual capacity and the
-  /// flow() baseline both become `cap`, the paired backward arc drops to
-  /// zero, so the edge reads as unused. The cross-slot online patch uses
-  /// this to re-cap a retained scaffold's source/sink arcs with the new
-  /// slot's φ values instead of rebuilding the scaffold.
-  void reset_edge(EdgeId e, std::int64_t cap);
 
   /// Zero the residual (backward) arc of every edge, freezing the current
   /// flows in place: committed flow can no longer be rerouted by later
@@ -244,7 +209,7 @@ class FlowNetwork {
   void compact();
 
   /// Bytes of CSR pool currently reserved (live + slack + fragmentation);
-  /// observability for the layout benches and the reuse tests.
+  /// observability for the pool-reuse tests.
   [[nodiscard]] std::size_t arc_pool_slots() const noexcept {
     return arc_pool_.size();
   }
@@ -267,22 +232,18 @@ class FlowNetwork {
   void append_arc(NodeId node, EdgeId arc);
   /// Move `node`'s slice to the pool tail with room for `min_cap` arcs.
   void relocate(NodeId node, std::uint32_t min_cap);
-  void quantize_edge_pair(EdgeId forward);
 
   // SoA edge storage; index = arc id, forward arcs even, residual odd.
   std::vector<NodeId> from_;
   std::vector<NodeId> to_;
   std::vector<std::int64_t> residual_;
   std::vector<double> cost_;
-  std::vector<std::int32_t> qcost_;          // mirror; see integer_costs()
   std::vector<std::int64_t> original_caps_;  // per stored edge
 
   // CSR adjacency: per-node slices over one shared arc-id pool.
   std::vector<ArcRange> nodes_;
   std::vector<EdgeId> arc_pool_;
   std::vector<std::uint32_t> restore_counts_;  // restore_arcs scratch
-
-  double cost_scale_ = 0.0;  // 0 = quantization off
 
 #ifdef CCDN_ADJACENCY_ORACLE
   /// Shadow vector-of-vectors adjacency maintained with the pre-CSR

@@ -148,6 +148,12 @@ std::size_t GridIndex::cell_slot(Cell c) const noexcept {
          static_cast<std::size_t>(c.col);
 }
 
+std::int32_t GridIndex::reach_cells(double radius_km) const noexcept {
+  return static_cast<std::int32_t>(
+      std::min(std::ceil(radius_km / cell_km_),
+               static_cast<double>(std::max(cols_, rows_))));
+}
+
 std::size_t GridIndex::nearest(const GeoPoint& query) const {
   CCDN_REQUIRE(std::isfinite(query.lat) && std::isfinite(query.lon),
                "non-finite query point");
@@ -241,11 +247,12 @@ std::vector<std::size_t> GridIndex::within_radius(const GeoPoint& query,
 
 void GridIndex::within_radius(const GeoPoint& query, double radius_km,
                               std::vector<std::size_t>& out) const {
+  CCDN_REQUIRE(std::isfinite(radius_km), "non-finite radius");
   CCDN_REQUIRE(radius_km >= 0.0, "negative radius");
   out.clear();
   const auto q = projection_.to_xy(query);
   const Cell center = cell_of(q);
-  const auto reach = static_cast<std::int32_t>(std::ceil(radius_km / cell_km_));
+  const std::int32_t reach = reach_cells(radius_km);
   const double radius2 = radius_km * radius_km;
   for (std::int32_t row = center.row - reach; row <= center.row + reach;
        ++row) {
@@ -294,13 +301,13 @@ void GridIndex::Subset::assign(std::span<const std::uint32_t> ids) {
 
 void GridIndex::Subset::within_radius(const GeoPoint& query, double radius_km,
                                       std::vector<std::size_t>& out) const {
+  CCDN_REQUIRE(std::isfinite(radius_km), "non-finite radius");
   CCDN_REQUIRE(radius_km >= 0.0, "negative radius");
   out.clear();
   const GridIndex& g = *parent_;
   const auto q = g.projection_.to_xy(query);
   const Cell center = g.cell_of(q);
-  const auto reach =
-      static_cast<std::int32_t>(std::ceil(radius_km / g.cell_km_));
+  const std::int32_t reach = g.reach_cells(radius_km);
   const double radius2 = radius_km * radius_km;
   for (std::int32_t row = center.row - reach; row <= center.row + reach;
        ++row) {

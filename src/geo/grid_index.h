@@ -93,6 +93,10 @@ class GridIndex {
 
   [[nodiscard]] Cell cell_of(const Projection::Xy& xy) const noexcept;
   [[nodiscard]] std::size_t cell_slot(Cell c) const noexcept;
+  /// Cells a radius query spans on each side of its centre cell, capped at
+  /// the grid's extent (beyond it every cell is already covered), so any
+  /// finite radius converts to int safely.
+  [[nodiscard]] std::int32_t reach_cells(double radius_km) const noexcept;
   /// Exact nearest point by ring search over the radius-query cells.
   [[nodiscard]] std::size_t ring_nearest(const Projection::Xy& q) const;
   void build_nearest_table();

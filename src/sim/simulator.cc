@@ -181,10 +181,9 @@ SlotResult process_slot(const SimulationConfig& config,
     result.digest = plan_digest(result.plan);
   }
   if (config.verify_clone_purity) {
-    // A fresh clone holds no cross-slot state (no patched scaffold, no
-    // carried potentials, no candidate cache), so replaying the slot on it
-    // exercises the rebuild path; any digest difference means carried
-    // state leaked into the plan.
+    // A fresh clone holds no cross-slot state (no warm sweeper buffers,
+    // no shard-plan cache), so any digest difference between it and the
+    // lane's long-lived scheme means carried state leaked into the plan.
     if (SchemePtr fresh = slot_scheme.clone()) {
       const SlotPlan replay = fresh->plan_slot(context, slot_requests, demand);
       CCDN_ENSURE(plan_digest(replay) == plan_digest(result.plan),

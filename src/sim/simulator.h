@@ -69,11 +69,11 @@ struct SimulationConfig {
   /// placements) in every build — see SimulationReport::slot_digests().
   AuditLevel audit_level = AuditLevel::kOff;
   /// Replay every slot on a fresh scheme clone and require the replayed
-  /// plan's digest to match — the oracle that cross-slot carried state
-  /// (the online scheduler's patched scaffolds, carried potentials, the
-  /// candidate cache) is a pure accelerator and never leaks into plans.
-  /// Doubles the planning work; off by default, meant for tests and the
-  /// differential suites. Schemes without clone() are skipped.
+  /// plan's digest to match — the oracle that the state a scheme keeps
+  /// across slots (RBCAer's θ-sweeper arena and buffers, its candidate
+  /// staging buffer, the shard-plan cache and the Jd thread pool) is pure
+  /// reuse and never leaks into plans. Doubles the planning work; off by
+  /// default, meant for tests. Schemes without clone() are skipped.
   bool verify_clone_purity = false;
   /// Zone-sharded planning (DESIGN.md §3.12), forwarded to the schemes via
   /// SchemeContext::num_shards. 0 = unsharded; 1 = sharded orchestration

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <ostream>
+#include <string>
 
 #include "core/nearest_scheme.h"
+#include "core/virtual_rbcaer_scheme.h"
 #include "sim/simulator.h"
 #include "trace/generator.h"
 #include "trace/world.h"
@@ -69,6 +73,51 @@ TEST(Rbcaer, ValidatesConfig) {
   config.top_fraction = 0.0;
   EXPECT_THROW(RbcaerScheme{config}, PreconditionError);
 }
+
+/// A θ setting the constructor must refuse: a non-finite radius or step,
+/// or a step too small to move θ past θ2. Each would keep Algorithm 1's θ
+/// loop spinning while load remains, or hand ∞ to the grid's radius query.
+struct BadTheta {
+  const char* name;
+  void (*apply)(RbcaerConfig&);
+};
+
+void PrintTo(const BadTheta& bad, std::ostream* os) { *os << bad.name; }
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+
+const BadTheta kBadThetas[] = {
+    {"Theta2Infinite", [](RbcaerConfig& c) { c.theta2_km = kInf; }},
+    {"BothRadiiInfinite",
+     [](RbcaerConfig& c) { c.theta1_km = c.theta2_km = kInf; }},
+    {"Theta2NaN", [](RbcaerConfig& c) { c.theta2_km = kNan; }},
+    {"Theta1NaN", [](RbcaerConfig& c) { c.theta1_km = kNan; }},
+    {"DeltaInfinite", [](RbcaerConfig& c) { c.delta_km = kInf; }},
+    {"DeltaNaN", [](RbcaerConfig& c) { c.delta_km = kNan; }},
+    {"DeltaBelowTheta2Resolution",
+     [](RbcaerConfig& c) { c.delta_km = c.theta2_km * 1e-17; }},
+};
+
+class RbcaerBadTheta : public testing::TestWithParam<BadTheta> {};
+
+TEST_P(RbcaerBadTheta, FlatSchemeRejects) {
+  RbcaerConfig config;
+  GetParam().apply(config);
+  EXPECT_THROW(RbcaerScheme{config}, PreconditionError);
+}
+
+TEST_P(RbcaerBadTheta, VirtualSchemeRejects) {
+  VirtualRbcaerConfig config;
+  GetParam().apply(config.regional);
+  EXPECT_THROW(VirtualRbcaerScheme{config}, PreconditionError);
+}
+
+INSTANTIATE_TEST_SUITE_P(ThetaConfigs, RbcaerBadTheta,
+                         testing::ValuesIn(kBadThetas),
+                         [](const testing::TestParamInfo<BadTheta>& bad) {
+                           return std::string(bad.param.name);
+                         });
 
 TEST(Rbcaer, NameReflectsAblation) {
   EXPECT_EQ(RbcaerScheme().name(), "RBCAer");

@@ -259,6 +259,44 @@ TEST_P(ThetaSweepDifferential, DijkstraPotentialsStayValidAcrossSteps) {
 INSTANTIATE_TEST_SUITE_P(RandomPartitions, ThetaSweepDifferential,
                          ::testing::Range<std::uint64_t>(1, 13));
 
+// Once every buffer reaches its steady-state size, a sweeper replaying the
+// same slot shape draws nothing more from its lane arena.
+TEST(ThetaSweepArena, SteadyStateSlotsAcquireNoMemory) {
+  Rng rng(987654321);
+  const Instance inst = random_instance(rng, 24, 4);
+  const HotspotPartition partition =
+      HotspotPartition::from_loads(inst.hotspots, inst.loads);
+  const auto candidates =
+      candidate_edges_pairscan(inst.hotspots, partition, 1.5);
+  const auto thetas = theta_grid(0.3, 1.5, 0.1);
+  const GuideOptions guide;
+
+  ThetaSweeper sweeper(McmfStrategy::kSpfa);
+  std::size_t warm_blocks = 0;
+  std::size_t warm_bytes = 0;
+  std::size_t warm_allocations = 0;
+  for (int slot = 0; slot < 6; ++slot) {
+    HotspotPartition p = partition;  // identical slot shape every time
+    sweeper.begin_slot(p, candidates);
+    for (const double theta : thetas) {
+      (void)sweeper.step_gc(theta, inst.cluster_of, guide);
+    }
+    (void)sweeper.step_gd(1.5);
+    sweeper.end_slot();
+    const BumpArena& arena = sweeper.scratch_arena();
+    if (slot == 1) {
+      warm_blocks = arena.upstream_blocks();
+      warm_bytes = arena.bytes_reserved();
+      warm_allocations = arena.allocations();
+      EXPECT_GT(warm_allocations, 0u);  // the buffers really live here
+    } else if (slot > 1) {
+      EXPECT_EQ(arena.upstream_blocks(), warm_blocks) << "slot " << slot;
+      EXPECT_EQ(arena.bytes_reserved(), warm_bytes) << "slot " << slot;
+      EXPECT_EQ(arena.allocations(), warm_allocations) << "slot " << slot;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Scheme-level differential: incremental_sweep on/off must produce the same
 // SlotPlan and diagnostics on the seed scenarios.

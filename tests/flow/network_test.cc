@@ -138,7 +138,7 @@ TEST(FlowNetwork, TruncatePreservesFlowOnSurvivingEdges) {
 // CSR adjacency property test.
 //
 // The CSR slice table replaced a vector-of-vectors adjacency (DESIGN.md
-// §3.11); this suite replays random mutator sequences against a
+// §3.10); this suite replays random mutator sequences against a
 // vector-of-vectors reference model that applies each documented rule
 // directly, and demands out_edges() match the model arc-for-arc after every
 // step. It is the always-on counterpart of the CCDN_ADJACENCY_ORACLE build
@@ -240,7 +240,7 @@ TEST_P(CsrAdjacencyProperty, MatchesVectorOfVectorsModel) {
   };
 
   for (std::size_t step = 0; step < 160; ++step) {
-    const std::size_t op = rng.index(14);
+    const std::size_t op = rng.index(13);
     switch (op) {
       case 0: {  // add_node
         net.add_node();
@@ -266,12 +266,7 @@ TEST_P(CsrAdjacencyProperty, MatchesVectorOfVectorsModel) {
         }
         break;
       }
-      case 4: {  // reset_edge
-        if (net.num_edges() == 0) break;
-        net.reset_edge(random_forward_edge(), rng.uniform_int(0, 8));
-        break;
-      }
-      case 5: {  // freeze_residuals / rebase_flows (no adjacency effect)
+      case 4: {  // freeze_residuals / rebase_flows (no adjacency effect)
         if (rng.chance(0.5)) {
           net.freeze_residuals();
         } else {
@@ -279,11 +274,11 @@ TEST_P(CsrAdjacencyProperty, MatchesVectorOfVectorsModel) {
         }
         break;
       }
-      case 6: {  // checkpoint
+      case 5: {  // checkpoint
         checkpoints.push_back(net.checkpoint());
         break;
       }
-      case 7: {  // truncate to a random stacked checkpoint
+      case 6: {  // truncate to a random stacked checkpoint
         const std::size_t pick = rng.index(checkpoints.size());
         const FlowNetwork::Checkpoint cp = checkpoints[pick];
         checkpoints.resize(pick + 1);  // drop checkpoints above the target
@@ -291,19 +286,19 @@ TEST_P(CsrAdjacencyProperty, MatchesVectorOfVectorsModel) {
         model.truncate(cp);
         break;
       }
-      case 8: {  // drop_dead_arcs
+      case 7: {  // drop_dead_arcs
         model.drop_dead_arcs(net);  // model reads residuals first (unchanged)
         net.drop_dead_arcs();
         break;
       }
-      case 9: {  // drop_arcs_at_or_after
+      case 8: {  // drop_arcs_at_or_after
         const auto first =
             static_cast<EdgeId>(2 * rng.index(net.num_edges() + 1));
         net.drop_arcs_at_or_after(first);
         model.drop_arcs_at_or_after(first);
         break;
       }
-      case 10: {  // drop_terminal_arcs
+      case 9: {  // drop_terminal_arcs
         if (net.num_nodes() < 2) break;
         const auto source = static_cast<NodeId>(rng.index(net.num_nodes()));
         auto sink = static_cast<NodeId>(rng.index(net.num_nodes()));
@@ -314,7 +309,7 @@ TEST_P(CsrAdjacencyProperty, MatchesVectorOfVectorsModel) {
         net.drop_terminal_arcs(source, sink);
         break;
       }
-      case 11: {  // focus_out_edges: keep a random subset of the node's arcs
+      case 10: {  // focus_out_edges: keep a random subset of the node's arcs
         const auto node = static_cast<NodeId>(rng.index(net.num_nodes()));
         std::vector<EdgeId> kept;
         for (const EdgeId e : net.out_edges(node)) {
@@ -324,14 +319,14 @@ TEST_P(CsrAdjacencyProperty, MatchesVectorOfVectorsModel) {
         model.focus_out_edges(node, kept);
         break;
       }
-      case 12: {  // restore_arcs from a random stacked checkpoint
+      case 11: {  // restore_arcs from a random stacked checkpoint
         const FlowNetwork::Checkpoint cp =
             checkpoints[rng.index(checkpoints.size())];
         net.restore_arcs(cp);
         model.restore_arcs(net, cp);
         break;
       }
-      case 13: {  // compact or clear
+      case 12: {  // compact or clear
         if (rng.chance(0.7)) {
           net.compact();  // layout-only: model untouched
         } else {
@@ -394,34 +389,6 @@ TEST(FlowNetwork, ClearReusesPoolBytesAcrossIdenticalBuilds) {
     build();
     EXPECT_EQ(net.arc_pool_slots(), settled) << "round " << round;
   }
-}
-
-TEST(FlowNetwork, QuantizationMirrorsCostsAndSticksAcrossClear) {
-  FlowNetwork net(2);
-  const EdgeId e = net.add_edge(0, 1, 5, 1.25);
-  EXPECT_FALSE(net.integer_costs());
-  net.set_cost_quantization(8.0);
-  ASSERT_TRUE(net.integer_costs());
-  EXPECT_EQ(net.qcost(e), 10);               // 1.25 * 8
-  EXPECT_EQ(net.qcost(net.paired(e)), -10);  // exactly negated
-  // Later edges quantize as they append; clear() keeps the scale.
-  const EdgeId f = net.add_edge(1, 0, 1, 0.5);
-  EXPECT_EQ(net.qcost(f), 4);
-  net.clear(2);
-  EXPECT_TRUE(net.integer_costs());
-  const EdgeId g = net.add_edge(0, 1, 1, 2.0);
-  EXPECT_EQ(net.qcost(g), 16);
-}
-
-TEST(FlowNetwork, QuantizationRejectsBadScaleAndOverflow) {
-  FlowNetwork net(2);
-  (void)net.add_edge(0, 1, 1, 1.0);
-  EXPECT_THROW(net.set_cost_quantization(0.0), PreconditionError);
-  EXPECT_THROW(net.set_cost_quantization(-1.0), PreconditionError);
-  // 4000 km at the default 2^20/km scale overflows int32.
-  (void)net.add_edge(1, 0, 1, 4000.0);
-  EXPECT_THROW(net.set_cost_quantization(kDefaultCostScale),
-               PreconditionError);
 }
 
 TEST(FlowNetwork, FreezeResidualsZeroesBackwardArcs) {

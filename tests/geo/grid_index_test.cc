@@ -180,6 +180,35 @@ TEST(GridIndex, WithinRadiusZeroRadius) {
                PreconditionError);
 }
 
+TEST(GridIndex, WithinRadiusRequiresFiniteRadius) {
+  const GridIndex index({{40.0, 116.5}, {40.05, 116.55}}, 1.0);
+  GridIndex::Subset subset(index);
+  subset.assign(std::vector<std::uint32_t>{0, 1});
+  std::vector<std::size_t> out;
+  for (const double radius : {std::numeric_limits<double>::infinity(),
+                              std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW((void)index.within_radius({40.0, 116.5}, radius),
+                 PreconditionError);
+    EXPECT_THROW(index.within_radius({40.0, 116.5}, radius, out),
+                 PreconditionError);
+    EXPECT_THROW(subset.within_radius({40.0, 116.5}, radius, out),
+                 PreconditionError);
+  }
+}
+
+TEST(GridIndex, WithinRadiusHugeFiniteRadiusCoversEveryPoint) {
+  // The cell reach is capped at the grid's extent before the int cast, so
+  // a radius far beyond any int32 cell count still covers the whole grid.
+  const GridIndex index({{40.0, 116.5}, {40.05, 116.55}, {39.9, 116.4}}, 0.5);
+  const std::vector<std::size_t> all{0, 1, 2};
+  EXPECT_EQ(index.within_radius({40.0, 116.5}, 1e300), all);
+  GridIndex::Subset subset(index);
+  subset.assign(std::vector<std::uint32_t>{2, 0});
+  std::vector<std::size_t> out;
+  subset.within_radius({40.0, 116.5}, 1e300, out);
+  EXPECT_EQ(out, (std::vector<std::size_t>{0, 2}));
+}
+
 TEST(GridIndex, NearestRequiresFiniteQuery) {
   const GridIndex index({{40.0, 116.5}, {40.05, 116.55}}, 1.0);
   const double nan = std::numeric_limits<double>::quiet_NaN();

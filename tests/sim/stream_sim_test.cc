@@ -52,7 +52,7 @@ struct StreamWorkload {
 
   [[nodiscard]] SimulationConfig make_config(
       std::size_t num_threads, std::size_t window,
-      double offline_probability) const {
+      double offline_probability, bool verify_clone_purity = false) const {
     SimulationConfig config;
     config.slot_seconds = 3600;
     config.charge_placement_deltas = true;
@@ -61,6 +61,7 @@ struct StreamWorkload {
     config.num_threads = num_threads;
     config.max_inflight_slots = window;
     config.audit_level = AuditLevel::kPlan;  // record per-slot digests
+    config.verify_clone_purity = verify_clone_purity;
     return config;
   }
 
@@ -74,13 +75,16 @@ struct StreamWorkload {
     return simulator.run(scheme, trace);
   }
 
+  /// `verify_clone_purity` replays every slot on a fresh clone and
+  /// throws if the lane's long-lived scheme planned it differently.
   [[nodiscard]] SimulationReport run_streaming(
       RedirectionScheme& scheme, std::size_t num_threads,
-      std::size_t window, double offline_probability = 0.0) const {
+      std::size_t window, double offline_probability = 0.0,
+      bool verify_clone_purity = false) const {
     Simulator simulator(world.hotspots(),
                         VideoCatalog{world.config().num_videos},
-                        make_config(num_threads, window,
-                                    offline_probability));
+                        make_config(num_threads, window, offline_probability,
+                                    verify_clone_purity));
     std::istringstream in(csv);
     TraceReader reader(in);
     CsvSlotSource source(reader, 3600);
@@ -130,8 +134,9 @@ TEST(StreamingSimulator, RbcaerIdenticalAcrossThreadsAndWindows) {
   for (const std::size_t threads : {1u, 4u}) {
     for (const std::size_t window : {1u, 3u}) {
       RbcaerScheme scheme;
-      expect_identical(reference,
-                       workload.run_streaming(scheme, threads, window));
+      expect_identical(reference, workload.run_streaming(
+                                      scheme, threads, window, 0.0,
+                                      /*verify_clone_purity=*/true));
     }
   }
 }
@@ -142,7 +147,9 @@ TEST(StreamingSimulator, VirtualRbcaerIdentical) {
   const auto reference = workload.run_in_memory(reference_scheme);
   for (const std::size_t threads : {1u, 4u}) {
     VirtualRbcaerScheme scheme;
-    expect_identical(reference, workload.run_streaming(scheme, threads, 3));
+    expect_identical(reference,
+                     workload.run_streaming(scheme, threads, 3, 0.0,
+                                            /*verify_clone_purity=*/true));
   }
 }
 

@@ -129,26 +129,6 @@ TEST(FlowAuditTest, ParkedArcsAreExemptFromTraversableWalk) {
   EXPECT_TRUE(traversable.ok()) << traversable.summary();
 }
 
-TEST(FlowAuditTest, ParkedArcsAreExemptFromTraversableWalkInt) {
-  // Integer-domain twin: the fixed-point carried-potentials audit honors
-  // the same walk selector.
-  Diamond d;
-  d.net.set_cost_quantization(kDefaultCostScale);
-  const std::vector<std::int64_t> potentials{
-      0, 0, static_cast<std::int64_t>(kDefaultCostScale), 0};
-  const std::vector<EdgeId> focus{d.sa};
-  d.net.focus_out_edges(d.source, focus);
-
-  AuditReport stored;
-  audit_reduced_costs_int(d.net, potentials, stored, ArcWalk::kStore);
-  EXPECT_TRUE(stored.has("negative-reduced-cost")) << stored.summary();
-
-  AuditReport traversable;
-  audit_reduced_costs_int(d.net, potentials, traversable,
-                          ArcWalk::kTraversable);
-  EXPECT_TRUE(traversable.ok()) << traversable.summary();
-}
-
 TEST(FlowAuditTest, ShortPotentialSpanIsReported) {
   Diamond d;
   const std::vector<double> truncated{0.0, 1.0};

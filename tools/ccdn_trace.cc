@@ -13,16 +13,16 @@
 //
 //   ccdn_trace simulate --in=trace.csv --scheme=rbcaer|nearest|random|virtual
 //                       [--capacity=0.05] [--cache=0.03] [--hotspots=310]
-//                       [--stream] [--threads=1] [--window=0] [--online]
+//                       [--stream] [--threads=1] [--window=0]
 //       Run one scheme over the trace and print the four paper metrics.
 //       --stream pulls slot batches straight off the CSV (bounded memory,
 //       bit-identical report); --threads/--window size the pipelined
-//       executor (window 0 = 2x threads); --online carries the RBCAer
-//       θ-sweep scaffold across slot boundaries (bit-identical plans,
-//       steady-state cost O(demand churn)).
+//       executor (window 0 = 2x threads).
 //
 // The world is regenerated from the same --seed/--hotspots/--videos flags,
-// so a trace file plus its generation flags fully reproduces a run.
+// so a trace file plus its generation flags fully reproduces a run. A flag
+// the subcommand does not read is a usage error (exit 2), so a misspelt or
+// retired flag never silently falls back to its default.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -48,6 +48,16 @@ namespace {
 
 using namespace ccdn;
 
+/// True (after naming each one on stderr) when a flag was set but never
+/// read. Call once a subcommand has read every flag it understands.
+bool has_unknown_flags(const Flags& flags) {
+  const auto unknown = flags.unused();
+  for (const auto& name : unknown) {
+    std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
+  }
+  return !unknown.empty();
+}
+
 World world_from_flags(const Flags& flags) {
   WorldConfig config = WorldConfig::evaluation_region();
   config.num_hotspots = static_cast<std::size_t>(
@@ -65,7 +75,6 @@ int cmd_generate(const Flags& flags) {
     std::fprintf(stderr, "generate: --out=<path> is required\n");
     return 2;
   }
-  const World world = world_from_flags(flags);
   TraceConfig trace_config;
   trace_config.num_requests = static_cast<std::size_t>(
       flags.get_int("requests", static_cast<std::int64_t>(
@@ -73,8 +82,11 @@ int cmd_generate(const Flags& flags) {
   trace_config.duration_hours =
       static_cast<std::size_t>(flags.get_int("hours", 24));
   trace_config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
+  const bool stream = flags.get_bool("stream", false);
+  const World world = world_from_flags(flags);
+  if (has_unknown_flags(flags)) return 2;
   std::size_t written = 0;
-  if (flags.get_bool("stream", false)) {
+  if (stream) {
     TraceGenerator generator(world, trace_config);
     TraceWriter writer(out);
     while (auto batch = generator.next_slot_batch()) {
@@ -100,6 +112,8 @@ int cmd_stats(const Flags& flags) {
     std::fprintf(stderr, "stats: --in=<path> is required\n");
     return 2;
   }
+  const World world = world_from_flags(flags);
+  if (has_unknown_flags(flags)) return 2;
   const auto trace = read_trace_csv(in);
   if (trace.empty()) {
     std::fprintf(stderr, "stats: trace is empty\n");
@@ -113,7 +127,6 @@ int cmd_stats(const Flags& flags) {
               static_cast<double>(stats.span_seconds()) / 3600.0,
               stats.top20_share);
 
-  const World world = world_from_flags(flags);
   const GridIndex index(world.hotspot_locations(), 0.5);
   const RoutedDemand routed = route_nearest(index, trace);
 
@@ -144,10 +157,6 @@ int cmd_simulate(const Flags& flags) {
   assign_uniform_capacities(world, flags.get_double("capacity", 0.05),
                             flags.get_double("cache", 0.03));
   const std::string scheme_name = flags.get_string("scheme", "rbcaer");
-  // Cross-slot online scheduling for the RBCAer family: patch the previous
-  // slot's θ-sweep scaffold instead of rebuilding when the partition
-  // membership holds. Plans are bit-identical to the rebuild path.
-  const bool online = flags.get_bool("online", false);
   // Jd SIMD kernel selection (auto | scalar | avx2). Any mode yields the
   // identical plan; the flag exists for pinning and for forcing the vector
   // path in benchmarks.
@@ -156,7 +165,6 @@ int cmd_simulate(const Flags& flags) {
   SchemePtr scheme;
   if (scheme_name == "rbcaer") {
     RbcaerConfig config;
-    config.online = online;
     config.simd = simd;
     scheme = std::make_unique<RbcaerScheme>(config);
   } else if (scheme_name == "nearest") {
@@ -165,7 +173,6 @@ int cmd_simulate(const Flags& flags) {
     scheme = std::make_unique<RandomScheme>(1.5);
   } else if (scheme_name == "virtual") {
     VirtualRbcaerConfig config;
-    config.regional.online = online;
     config.regional.simd = simd;
     scheme = std::make_unique<VirtualRbcaerScheme>(config);
   } else {
@@ -185,11 +192,13 @@ int cmd_simulate(const Flags& flags) {
   // via SchemeContext, the stateless baselines ignore it.
   sim_config.num_shards =
       static_cast<std::size_t>(flags.get_int("shards", 0));
+  const bool stream = flags.get_bool("stream", false);
+  if (has_unknown_flags(flags)) return 2;
   const Simulator simulator(world.hotspots(),
                             VideoCatalog{world.config().num_videos},
                             sim_config);
   SimulationReport report = [&] {
-    if (flags.get_bool("stream", false)) {
+    if (stream) {
       CsvSlotSource source(in, sim_config.slot_seconds);
       return simulator.run(*scheme, source);
     }

@@ -31,7 +31,6 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/nearest_scheme.h"
@@ -57,18 +56,11 @@ constexpr std::size_t kRequests = 6000;
 constexpr std::size_t kHours = 24;
 constexpr std::int64_t kSlotSeconds = 3600;
 
-// The "-online" variants run the same schemes with cross-slot online
-// scheduling enabled (a no-op for the stateless baselines). Pinning them
-// alongside the base schemes makes the golden gate prove the online
-// scheduler's bit-identity promise on every CI run, not just in the unit
-// suite — and the explicit online-vs-base comparison below turns any
-// divergence into a named failure even before the golden file is consulted.
-const char* const kSchemes[] = {"nearest",        "random",
-                                "rbcaer",         "virtual",
-                                "nearest-online", "random-online",
-                                "rbcaer-online",  "virtual-online",
-                                "rbcaer-shard2",  "virtual-shard2",
-                                "rbcaer-shard4",  "virtual-shard4"};
+// Base schemes plus the zone-sharded variants whose plans are pinned.
+const char* const kSchemes[] = {"nearest",       "random",
+                                "rbcaer",        "virtual",
+                                "rbcaer-shard2", "virtual-shard2",
+                                "rbcaer-shard4", "virtual-shard4"};
 
 // Runtime plan-equality contracts checked on every run, in addition to the
 // pinned golden comparison. Each row holds a variant's freshly computed
@@ -76,13 +68,6 @@ const char* const kSchemes[] = {"nearest",        "random",
 // pinned lineage of its own, so the gates survive intentional base-scheme
 // changes without an extra regeneration step.
 //
-//   "-online":  the cross-slot online scheduler's bit-identity promise
-//               (DESIGN.md §3.10). These variants are also pinned above;
-//               the explicit pair check names the broken contract even
-//               before the golden file is consulted.
-//   "-int":     the fixed-point integer-cost engine's plan equality with
-//               the double engine (exact at this workload's scale —
-//               DESIGN.md §3.11). Not pinned.
 //   "-shard1":  the zone-sharded orchestration with a single shard must be
 //               bit-identical to the unsharded path (DESIGN.md §3.12) —
 //               the fork + pipe + sub-instance rebuild hop may not change
@@ -93,12 +78,6 @@ struct VariantCheck {
   const char* contract;
 };
 const VariantCheck kVariantChecks[] = {
-    {"nearest-online", "nearest", "online bit-identity"},
-    {"random-online", "random", "online bit-identity"},
-    {"rbcaer-online", "rbcaer", "online bit-identity"},
-    {"virtual-online", "virtual", "online bit-identity"},
-    {"rbcaer-int", "rbcaer", "integer plan-equality"},
-    {"virtual-int", "virtual", "integer plan-equality"},
     {"rbcaer-shard1", "rbcaer", "shard=1 bit-identity"},
     {"virtual-shard1", "virtual", "shard=1 bit-identity"},
 };
@@ -110,11 +89,7 @@ const VariantCheck kVariantChecks[] = {
 SimdMode g_simd = SimdMode::kAuto;
 
 SchemePtr make_scheme(const std::string& name) {
-  constexpr std::string_view kOnlineSuffix = "-online";
-  constexpr std::string_view kIntSuffix = "-int";
   std::string base = name;
-  bool online = false;
-  bool integer = false;
   // "-shard<N>" selects the zone-sharded solve with N shards.
   std::size_t shards = 0;
   const std::size_t shard_pos = base.rfind("-shard");
@@ -130,32 +105,16 @@ SchemePtr make_scheme(const std::string& name) {
       base.resize(shard_pos);
     }
   }
-  if (base.size() > kIntSuffix.size() &&
-      base.compare(base.size() - kIntSuffix.size(), kIntSuffix.size(),
-                   kIntSuffix) == 0) {
-    base.resize(base.size() - kIntSuffix.size());
-    integer = true;
-  }
-  if (base.size() > kOnlineSuffix.size() &&
-      base.compare(base.size() - kOnlineSuffix.size(), kOnlineSuffix.size(),
-                   kOnlineSuffix) == 0) {
-    base.resize(base.size() - kOnlineSuffix.size());
-    online = true;
-  }
   if (base == "nearest") return std::make_unique<NearestScheme>();
   if (base == "random") return std::make_unique<RandomScheme>();
   if (base == "rbcaer") {
     RbcaerConfig config;
-    config.online = online;
-    config.integer_costs = integer;
     config.num_shards = shards;
     config.simd = g_simd;
     return std::make_unique<RbcaerScheme>(config);
   }
   if (base == "virtual") {
     VirtualRbcaerConfig config;
-    config.regional.online = online;
-    config.regional.integer_costs = integer;
     config.regional.num_shards = shards;
     config.regional.simd = g_simd;
     return std::make_unique<VirtualRbcaerScheme>(config);
