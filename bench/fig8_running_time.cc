@@ -138,10 +138,10 @@ FlowBenchRow flow_bench_mode(const std::string& name, bool aggregation,
 
 // --- Sharding section: zone-sharded parallel solve vs the global solve. ---
 // Per shard count, the slot is solved by partitioning the hotspots into K
-// geo zones (process-per-shard fork), plus one cross-shard exchange round
-// over boundary residuals. Reported per row: the flow-phase critical path
-// (slowest shard's graph+MCMF plus the exchange round) vs the global
-// solve's graph+MCMF, the fork-to-collect wall, the exchange overhead, and
+// geo zones (one thread-pool task per shard), plus one cross-shard exchange
+// round over boundary residuals. Reported per row: the flow-phase critical
+// path (slowest shard's graph+MCMF plus the exchange round) vs the global
+// solve's graph+MCMF, the dispatch-to-join wall, the exchange overhead, and
 // the end-to-end objective gap (plan distance sum with the CDN penalty,
 // sharded vs global). K=1 must be bit-identical to the global solve and
 // carries the `identical` oracle; K>1 pays a bounded optimality gap and
@@ -155,7 +155,7 @@ struct ShardBenchRow {
   double global_cluster_s = 0.0;  // unsharded Jd+cluster
   double shard_flow_s = 0.0;      // critical path: max shard + exchange
   double cluster_s = 0.0;         // max per-shard Jd+cluster
-  double shard_wall_s = 0.0;      // fork -> every shard result collected
+  double shard_wall_s = 0.0;      // dispatch -> every shard joined
   double exchange_s = 0.0;
   std::int64_t moved = 0;
   std::int64_t exchange_moved = 0;

@@ -4,18 +4,20 @@
 // same slot through the sharded orchestrator and report the full cost
 // anatomy the fig8 summary row compresses away:
 //
-//   - per-shard child wall time (Jd+cluster, graph build, MCMF) and peak
-//     RSS, plus the min/max/mean spread — the load-imbalance factor that
-//     bounds the parallel speedup;
-//   - orchestration overhead: the fork→collect wall minus the slowest
-//     child's own solve time (fork, serialization, reap);
+//   - per-shard solve time (Jd+cluster, graph build, MCMF), plus the
+//     min/max/mean spread — the load-imbalance factor that bounds the
+//     parallel speedup;
+//   - orchestration overhead: dispatch → every shard joined, minus the
+//     slowest shard's own solve time (pool hand-off and join);
 //   - exchange-round overhead and its committed flow;
 //   - the optimality gap vs the unsharded global solve (objective = plan
 //     serving distance with the CDN penalty, same as fig8).
 //
-// Writes BENCH_shard.json. Scale flags mirror fig8's flow bench
-// (--hotspots/--requests/--repeats); defaults match the committed
-// baseline (H=2000, 100K requests).
+// Shards run on the scheme's thread pool (min(shards, hardware threads)
+// workers), so the JSON records the host's CPU count under "context".
+// Writes BENCH_shard.json (--json_out overrides). Scale flags mirror
+// fig8's flow bench (--hotspots/--requests/--repeats); defaults match the
+// committed baseline (H=2000, 100K requests).
 #include <algorithm>
 #include <cstdio>
 #include <numeric>
@@ -29,6 +31,7 @@
 #include "trace/generator.h"
 #include "trace/world.h"
 #include "util/flags.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -53,18 +56,18 @@ struct ShardRow {
   std::size_t shards = 0;
   std::size_t hotspots = 0;
   std::size_t boundary = 0;
-  double shard_wall_s = 0.0;      // fork -> every shard collected
+  double shard_wall_s = 0.0;      // dispatch -> every shard joined
   double exchange_s = 0.0;
-  double critical_s = 0.0;        // max child (cluster+graph+mcmf) + exchange
-  double overhead_s = 0.0;        // shard_wall - max child solve
+  double critical_s = 0.0;        // max shard (cluster+graph+mcmf) + exchange
+  double overhead_s = 0.0;        // dispatch -> every shard joined, minus
+                                  // the slowest shard
   double cluster_s = 0.0;         // stage maxima over shards
   double graph_s = 0.0;
   double mcmf_s = 0.0;            // includes the exchange round
   std::int64_t moved = 0;
   std::int64_t exchange_moved = 0;
   double gap = 0.0;               // objective delta vs unsharded
-  std::vector<double> flow_s;     // per shard: child graph+mcmf
-  std::vector<double> rss_mb;     // per shard child peak RSS
+  std::vector<double> flow_s{};   // per shard: graph+mcmf
 
   [[nodiscard]] double imbalance() const {
     if (flow_s.empty()) return 1.0;
@@ -82,8 +85,12 @@ void write_json(const std::string& path, const std::vector<ShardRow>& rows) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return;
   }
-  std::fprintf(out, "{\n  \"bench\": \"shard_scalability\",\n"
-                    "  \"unit\": \"s\",\n  \"benchmarks\": [\n");
+  std::fprintf(out,
+               "{\n  \"bench\": \"shard_scalability\",\n"
+               "  \"unit\": \"s\",\n"
+               "  \"context\": {\"num_cpus\": %zu},\n"
+               "  \"benchmarks\": [\n",
+               ThreadPool::default_threads());
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const ShardRow& r = rows[i];
     std::fprintf(out,
@@ -103,10 +110,6 @@ void write_json(const std::string& path, const std::vector<ShardRow>& rows) {
                  static_cast<long long>(r.exchange_moved), r.gap);
     for (std::size_t s = 0; s < r.flow_s.size(); ++s) {
       std::fprintf(out, "%s%.6f", s == 0 ? "" : ", ", r.flow_s[s]);
-    }
-    std::fprintf(out, "], \"shard_rss_mb\": [");
-    for (std::size_t s = 0; s < r.rss_mb.size(); ++s) {
-      std::fprintf(out, "%s%.1f", s == 0 ? "" : ", ", r.rss_mb[s]);
     }
     std::fprintf(out, "]}%s\n", i + 1 < rows.size() ? "," : "");
   }
@@ -146,9 +149,9 @@ int main(int argc, char** argv) {
   std::printf("=== shard scalability: %zu hotspots, %zu requests "
               "(best of %zu) ===\n",
               hotspots, trace.size(), repeats);
-  std::printf("%-4s %7s %10s %10s %9s %9s %9s %10s %10s %7s %8s\n", "",
+  std::printf("%-4s %7s %10s %10s %9s %9s %9s %10s %10s %7s\n", "",
               "shards", "wall", "critical", "cluster", "graph", "mcmf",
-              "overhead", "imbalance", "gap", "max rss");
+              "overhead", "imbalance", "gap");
 
   std::vector<ShardRow> rows;
   for (const bool aggregation : {true, false}) {
@@ -166,11 +169,10 @@ int main(int argc, char** argv) {
       RbcaerConfig config = base;
       config.num_shards = shards;
       RbcaerScheme scheme(config);
-      ShardRow row;
-      row.name = aggregation ? "gc" : "gd";
-      row.shards = shards;
-      row.hotspots = hotspots;
-      row.shard_wall_s = 1e300;
+      ShardRow row{.name = aggregation ? "gc" : "gd",
+                   .shards = shards,
+                   .hotspots = hotspots,
+                   .shard_wall_s = 1e300};
       SlotPlan plan;
       for (std::size_t rep = 0; rep < repeats; ++rep) {
         plan = scheme.plan_slot(context, trace, demand);
@@ -182,7 +184,6 @@ int main(int argc, char** argv) {
           row.moved = d.moved;
           row.exchange_moved = d.exchange_moved;
           row.flow_s = d.shard_flow_s;
-          row.rss_mb = d.shard_rss_mb;
           const StageTimings* stages = scheme.last_stage_timings();
           // Stage timings under sharding are already the per-stage maxima
           // over shards (mcmf includes the exchange round).
@@ -193,8 +194,8 @@ int main(int argc, char** argv) {
                            stages->mcmf_s;
         }
       }
-      // The slowest child's own solve time, excluding the parent-side
-      // exchange round that critical_s folds into the MCMF stage.
+      // The slowest shard's own solve time, excluding the exchange round
+      // that critical_s folds into the MCMF stage.
       row.overhead_s =
           std::max(0.0, row.shard_wall_s - (row.critical_s - row.exchange_s));
       row.gap = global_objective > 0.0
@@ -202,15 +203,11 @@ int main(int argc, char** argv) {
                        global_objective) /
                           global_objective
                     : 0.0;
-      const double max_rss =
-          row.rss_mb.empty()
-              ? 0.0
-              : *std::max_element(row.rss_mb.begin(), row.rss_mb.end());
       std::printf("%-4s %7zu %9.3fs %9.3fs %8.3fs %8.3fs %8.3fs %9.3fs "
-                  "%9.2fx %6.2f%% %7.1fM\n",
+                  "%9.2fx %6.2f%%\n",
                   row.name.c_str(), row.shards, row.shard_wall_s,
                   row.critical_s, row.cluster_s, row.graph_s, row.mcmf_s,
-                  row.overhead_s, row.imbalance(), row.gap * 100.0, max_rss);
+                  row.overhead_s, row.imbalance(), row.gap * 100.0);
       rows.push_back(std::move(row));
     }
   }

@@ -132,8 +132,8 @@ SweepOutcome run_theta_sweep(const RbcaerConfig& config,
 /// One shard's local solve: rebuild the full RBCAer clustering + flow phase
 /// on the sub-instance induced by the shard's member hotspots, then remap
 /// the flows back to global ids. A pure function of (config, hotspots,
-/// demand, members), so it runs identically in a forked child or in-process
-/// (ShardExecutor's bit-identity contract).
+/// demand, members), so it runs identically on a pool thread or serially
+/// (solve_sharded's bit-identity contract).
 ShardFlowResult solve_shard_instance(const RbcaerConfig& config,
                                      std::span<const Hotspot> hotspots,
                                      const SlotDemand& demand,
@@ -159,9 +159,9 @@ ShardFlowResult solve_shard_instance(const RbcaerConfig& config,
   const std::int64_t max_movable = partition.max_movable();
   if (max_movable == 0) return out;
 
-  // Stage clocks below are wall time, which inflates when more forked
-  // children than cores run at once (the kernel time-slices them). Track
-  // the child's thread-CPU time alongside and rescale the reported stages
+  // Stage clocks below are wall time, which inflates when more shard
+  // threads than cores run at once (the kernel time-slices them). Track
+  // the shard's thread-CPU time alongside and rescale the reported stages
   // by cpu/wall at the end: on an idle multicore box the ratio is ~1, and
   // under contention the rescaled figures are the per-shard cost a
   // dedicated core would pay — the quantity the critical-path model (max
@@ -171,8 +171,7 @@ ShardFlowResult solve_shard_instance(const RbcaerConfig& config,
   Stopwatch stage_clock;
   std::vector<std::uint32_t> cluster_of(n, 0);
   if (config.content_aggregation) {
-    // Serial Jd build: the shards themselves are the parallelism, and a
-    // forked child must not touch the parent's thread pool anyway.
+    // Serial Jd build: the shards themselves are the parallelism.
     const auto top_sets = top_sets_per_hotspot(local, config.top_fraction);
     const DistanceMatrix jd = content_distance_matrix(
         top_sets, {.use_bitmap = config.bitmap_jaccard, .simd = config.simd});
@@ -383,25 +382,15 @@ std::vector<FlowEntry> RbcaerScheme::plan_shard_flows(
     shard_plan_.last = context.hotspots.back().location;
   }
 
-  // The child solve must not touch this object's pool or sweeper:
+  // The shard solve must not touch this object's pools or sweeper:
   // a neutralized config makes solve_shard_instance a pure function of
-  // (config, hotspots, demand, members) — safe in a forked child and
-  // bit-identical in-process.
-  RbcaerConfig child_config = config_;
-  child_config.num_shards = 0;
-  child_config.jd_threads = 1;
+  // (config, hotspots, demand, members) — safe to run concurrently and
+  // bit-identical to a serial run.
+  RbcaerConfig shard_config = config_;
+  shard_config.num_shards = 0;
+  shard_config.jd_threads = 1;
 
   ShardedSolveOptions options;
-  options.executor = config_.shard_executor;
-  if (context.threaded_executor && options.executor == ShardExecutor::kFork) {
-    // fork() under the clone-ring lanes would duplicate a multithreaded
-    // process: the child can inherit a sibling worker's held allocator or
-    // logger lock with no thread left to release it. The executors are
-    // bit-identical by contract, so only the mechanism changes.
-    options.executor = ShardExecutor::kInProcess;
-    diagnostics_.fork_demotions += 1;
-  }
-  options.threaded_caller = context.threaded_executor;
   options.exchange_radius_km = config_.theta2_km;
   options.exchange_theta1_km = config_.theta1_km;
   options.exchange_theta_step_km = config_.delta_km;
@@ -412,8 +401,9 @@ std::vector<FlowEntry> RbcaerScheme::plan_shard_flows(
   ShardedSolveOutcome outcome = solve_sharded(
       context.hotspots, context.hotspot_index, partition,
       shard_plan_.assignment, shard_plan_.boundary, options,
+      lazy_shard_pool(shard_pool_, num_shards, context.threaded_executor),
       [&](std::uint32_t s) {
-        return solve_shard_instance(child_config, context.hotspots, demand,
+        return solve_shard_instance(shard_config, context.hotspots, demand,
                                     members[s]);
       });
 
@@ -429,7 +419,6 @@ std::vector<FlowEntry> RbcaerScheme::plan_shard_flows(
     diagnostics_.theta_iterations =
         std::max(diagnostics_.theta_iterations, shard.theta_iterations);
     diagnostics_.shard_flow_s.push_back(shard.graph_s + shard.mcmf_s);
-    diagnostics_.shard_rss_mb.push_back(shard.peak_rss_mb);
     // Stage timings report the parallel critical path: the slowest shard
     // per stage, plus the exchange round on the MCMF stage.
     stage_timings_.gc_build_s =

@@ -89,10 +89,6 @@ struct RbcaerConfig {
   /// reconciles boundary residuals with one cross-shard exchange round.
   /// Values above the hotspot count are clamped.
   std::size_t num_shards = 0;
-  /// Fork children (production model) or solve shards sequentially
-  /// in-process (differential oracle; also what nested callers inside a
-  /// thread pool should use). Both are bit-identical.
-  ShardExecutor shard_executor = ShardExecutor::kFork;
 };
 
 class RbcaerScheme final : public RedirectionScheme {
@@ -132,13 +128,9 @@ class RbcaerScheme final : public RedirectionScheme {
     std::size_t shards = 0;
     std::size_t boundary_hotspots = 0;
     std::int64_t exchange_moved = 0;  // units committed by the exchange round
-    double shard_wall_s = 0.0;        // executor phase (fork -> all collected)
+    double shard_wall_s = 0.0;        // executor phase (dispatch -> all joined)
     double exchange_s = 0.0;          // exchange arc build + solve + commit
-    /// Slots where kFork was demoted to kInProcess because plan_slot ran
-    /// inside a multithreaded executor (SchemeContext::threaded_executor).
-    std::size_t fork_demotions = 0;
-    std::vector<double> shard_flow_s;  // per shard: child graph_s + mcmf_s
-    std::vector<double> shard_rss_mb;  // per shard child peak RSS (kFork)
+    std::vector<double> shard_flow_s;  // per shard: graph_s + mcmf_s
   };
   [[nodiscard]] const Diagnostics& last_diagnostics() const noexcept {
     return diagnostics_;
@@ -168,6 +160,8 @@ class RbcaerScheme final : public RedirectionScheme {
   mutable Diagnostics diagnostics_;
   StageTimings stage_timings_;
   std::unique_ptr<ThreadPool> jd_pool_;
+  /// Per-shard solve pool (lazy_shard_pool); clones make their own.
+  std::unique_ptr<ThreadPool> shard_pool_;
   /// Persistent across slots so the warm sweep's buffers stop churning the
   /// allocator; clones get their own (planning stays pure per clone).
   ThetaSweeper sweeper_;

@@ -5,12 +5,11 @@
 //
 //   1. runs a caller-supplied per-shard solve — flat RBCAer's θ sweep or
 //      the virtual scheme's regional loop, restricted to one shard's
-//      hotspots — for every shard, either in forked child processes
-//      (util/fork_run.h, the production model: per-shard address spaces are
-//      the path to per-machine shards) or in-process (for callers already
-//      running inside a thread pool, and as the fork path's differential
-//      oracle — both executors produce bit-identical results because the
-//      per-shard solve is a pure function of the slot inputs);
+//      hotspots — for every shard, on the caller's thread pool when one is
+//      given and serially otherwise (callers already running inside a
+//      thread pool pass none). Each result lands at its shard's index, so
+//      both ways produce bit-identical results: the per-shard solve is a
+//      pure function of the slot inputs;
 //   2. commits every shard-local flow against the caller's global
 //      partition slack, exactly like the unsharded absorb loop;
 //   3. runs a θ-swept exchange over the residuals: boundary senders (the
@@ -33,6 +32,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -44,20 +44,11 @@
 
 namespace ccdn {
 
-/// How the per-shard solves execute.
-enum class ShardExecutor : std::uint8_t {
-  /// One forked child process per shard, results serialized back over a
-  /// pipe (util/fork_run.h). The production model.
-  kFork,
-  /// Run the shard solves sequentially in the calling process. For callers
-  /// inside a thread pool (the parallel simulator's clone lanes) and as the
-  /// fork executor's differential oracle.
-  kInProcess,
-};
+class ThreadPool;
 
 /// What one shard's local solve returns. Flows are in GLOBAL hotspot ids;
-/// the timing fields are child-measured (so under kFork they exclude fork
-/// and serialization overhead — that lives in ShardedSolveOutcome's wall
+/// the timing fields are measured inside the shard solve (so they exclude
+/// dispatch and join overhead — that lives in ShardedSolveOutcome's wall
 /// clock).
 struct ShardFlowResult {
   std::vector<FlowEntry> flows;
@@ -68,19 +59,9 @@ struct ShardFlowResult {
   double gc_build_s = 0.0;  // content clustering
   double graph_s = 0.0;     // candidate + Gd/Gc construction
   double mcmf_s = 0.0;      // augmentation
-  /// Child peak RSS, filled by the orchestrator under kFork (0 in-process).
-  double peak_rss_mb = 0.0;
 };
 
-/// Exact byte round-trip for the pipe channel (exposed for tests; doubles
-/// travel as raw bit patterns, so determinism survives the hop).
-[[nodiscard]] std::vector<std::uint8_t> serialize_shard_result(
-    const ShardFlowResult& result);
-[[nodiscard]] ShardFlowResult deserialize_shard_result(
-    std::span<const std::uint8_t> bytes);
-
 struct ShardedSolveOptions {
-  ShardExecutor executor = ShardExecutor::kFork;
   /// Arc radius of the exchange round; the schemes pass θ2 so the exchange
   /// sees exactly the receiver neighbourhood the global solve would have
   /// offered these senders.
@@ -94,14 +75,6 @@ struct ShardedSolveOptions {
   double exchange_theta_step_km = 0.0;
   McmfStrategy exchange_strategy = McmfStrategy::kSpfa;
   AuditLevel audit_level = AuditLevel::kOff;
-  /// Set by callers whose plan runs inside a multithreaded executor
-  /// (SchemeContext::threaded_executor). solve_sharded REQUIREs that kFork
-  /// is never combined with it: forking a multithreaded process can hand
-  /// the child a sibling thread's held allocator/logger lock with no
-  /// thread left to release it. Schemes demote to kInProcess (bit-identical
-  /// by contract) before calling; the REQUIRE catches any new caller that
-  /// skips the demotion.
-  bool threaded_caller = false;
 };
 
 struct ShardedSolveOutcome {
@@ -115,26 +88,39 @@ struct ShardedSolveOutcome {
   std::int64_t moved = 0;           // total committed, exchange included
   std::int64_t exchange_moved = 0;  // exchange round's share
   std::size_t boundary_hotspots = 0;
-  /// Wall time of the executor phase (fork → every shard result collected).
+  /// Wall time of the executor phase (dispatch → every shard joined).
   double shard_wall_s = 0.0;
   /// Wall time of the exchange round (arc build + reduced solve + commit).
   double exchange_s = 0.0;
 };
 
 /// The per-shard solve: given a shard id, produce that shard's local flow
-/// result. Must be a pure function of the slot inputs (it runs in a forked
-/// child under kFork, so side effects would be lost anyway — the pipe
-/// result is the only channel back).
+/// result. Must be a pure function of the slot inputs: shards run
+/// concurrently on the pool, so a solve may only read shared state, and its
+/// result is the only channel back.
 using ShardSolveFn = std::function<ShardFlowResult(std::uint32_t shard)>;
+
+/// The pool a sharded scheme hands solve_sharded: `pool`, created on first
+/// use with min(num_shards, hardware threads) workers, or nullptr (serial
+/// shards) when there is a single shard or the slot runs inside a threaded
+/// executor — the simulator's window lanes already keep every core busy
+/// with whole slots, so shard threads on top would only oversubscribe them.
+[[nodiscard]] ThreadPool* lazy_shard_pool(std::unique_ptr<ThreadPool>& pool,
+                                          std::size_t num_shards,
+                                          bool threaded_executor);
 
 /// Run the sharded solve + exchange round described above. `partition` is
 /// the slot's global partition; its phi values are decremented in place for
 /// every committed flow. `boundary` is the mask from boundary_hotspots()
-/// at the exchange radius.
+/// at the exchange radius. With a `pool` every shard's solve is submitted
+/// to it; with nullptr the shards run serially on the calling thread. A
+/// shard that throws is rethrown (the first in shard order) only after
+/// every shard has finished, and before `partition` is touched.
 [[nodiscard]] ShardedSolveOutcome solve_sharded(
     std::span<const Hotspot> hotspots, const GridIndex& index,
     HotspotPartition& partition, const ShardAssignment& assignment,
     std::span<const std::uint8_t> boundary,
-    const ShardedSolveOptions& options, const ShardSolveFn& solve_shard);
+    const ShardedSolveOptions& options, ThreadPool* pool,
+    const ShardSolveFn& solve_shard);
 
 }  // namespace ccdn

@@ -198,15 +198,6 @@ SlotPlan VirtualRbcaerScheme::plan_slot(const SchemeContext& context,
       const std::vector<std::uint8_t> boundary = boundary_hotspots(
           centroids, assignment, rc.theta2_km, region_index);
       ShardedSolveOptions options;
-      options.executor = rc.shard_executor;
-      if (context.threaded_executor &&
-          options.executor == ShardExecutor::kFork) {
-        // Same demotion as RbcaerScheme::plan_shard_flows: never fork from
-        // inside a multithreaded executor (bit-identical by contract).
-        options.executor = ShardExecutor::kInProcess;
-        diagnostics_.fork_demotions += 1;
-      }
-      options.threaded_caller = context.threaded_executor;
       options.exchange_radius_km = rc.theta2_km;
       options.exchange_theta1_km = rc.theta1_km;
       options.exchange_theta_step_km = rc.delta_km;
@@ -215,7 +206,9 @@ SlotPlan VirtualRbcaerScheme::plan_slot(const SchemeContext& context,
       const auto& cluster_labels = cluster_of;
       ShardedSolveOutcome outcome = solve_sharded(
           virtual_hotspots, region_index, partition, assignment, boundary,
-          options, [&](std::uint32_t s) {
+          options,
+          lazy_shard_pool(shard_pool_, num_shards, context.threaded_executor),
+          [&](std::uint32_t s) {
             const auto& mem = assignment.members[s];
             std::vector<Hotspot> sub;
             sub.reserve(mem.size());
@@ -239,7 +232,7 @@ SlotPlan VirtualRbcaerScheme::plan_slot(const SchemeContext& context,
                 HotspotPartition::from_loads(sub, sub_loads);
             ShardFlowResult out;
             // Thread-CPU time, not wall: on a box with fewer cores than
-            // shards the forked children time-slice and wall time inflates
+            // shards the shard threads time-slice and wall time inflates
             // with the shard count, while CPU time stays the per-shard cost
             // a dedicated core would pay.
             const ThreadCpuStopwatch clock;

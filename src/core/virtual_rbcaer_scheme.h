@@ -25,6 +25,8 @@
 // deployments (see bench/hierarchical_scalability).
 #pragma once
 
+#include <memory>
+
 #include "core/rbcaer_scheme.h"
 
 namespace ccdn {
@@ -80,9 +82,6 @@ class VirtualRbcaerScheme final : public RedirectionScheme {
     std::size_t shards = 0;
     std::size_t boundary_regions = 0;
     std::int64_t exchange_moved = 0;
-    /// Slots where kFork was demoted to kInProcess because plan_slot ran
-    /// inside a multithreaded executor (SchemeContext::threaded_executor).
-    std::size_t fork_demotions = 0;
   };
   [[nodiscard]] const Diagnostics& last_diagnostics() const noexcept {
     return diagnostics_;
@@ -91,6 +90,8 @@ class VirtualRbcaerScheme final : public RedirectionScheme {
  private:
   VirtualRbcaerConfig config_;
   Diagnostics diagnostics_;
+  /// Per-shard solve pool (lazy_shard_pool); clones make their own.
+  std::unique_ptr<ThreadPool> shard_pool_;
 };
 
 }  // namespace ccdn

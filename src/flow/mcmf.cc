@@ -251,7 +251,9 @@ void McmfSolver::reprice_from(const FlowNetwork& net, EdgeId first_edge,
   CCDN_REQUIRE(potential_.size() == net.num_nodes(),
                "potentials not sized for this network");
   const std::size_t n = net.num_nodes();
-  state_.in_queue.assign(n, 0);
+  // Grow only: the flags are all-zero between runs, and shrinking them
+  // below the search labels would let a later SPFA write past them.
+  if (state_.in_queue.size() < n) state_.in_queue.resize(n, 0);
   const std::size_t cap = n + 1;
   state_.queue.resize(cap);
   std::size_t head = 0;

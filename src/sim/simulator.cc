@@ -280,7 +280,7 @@ SimulationReport Simulator::run(RedirectionScheme& scheme,
         SlotBatch batch CCDN_GUARDED_BY(mu);
         std::vector<std::uint8_t> mask CCDN_GUARDED_BY(mu);
       };
-      // Schemes running inside the lanes must not fork (see
+      // Schemes running inside the lanes solve their shards serially (see
       // SchemeContext::threaded_executor).
       SchemeContext lanes_context = context;
       lanes_context.threaded_executor = true;

@@ -1,9 +1,8 @@
 // Fork-isolated task execution with a pipe result channel.
 //
-// Shared by bench/stream_scalability (per-case peak-RSS isolation: getrusage
-// is a process-lifetime high watermark, so every measured case needs its own
-// process) and the zone-sharded scheduler's process-per-shard executor
-// (core/shard_solver.h). A task is a callable returning a byte payload; the
+// Used by bench/stream_scalability for per-case peak-RSS isolation:
+// getrusage is a process-lifetime high watermark, so every measured case
+// needs its own process. A task is a callable returning a byte payload; the
 // child writes [u64 length][bytes] on its end of the pipe and _exit()s, the
 // parent reads the payload back and collects the child's exit status and
 // rusage from wait4.

@@ -30,9 +30,9 @@ class Stopwatch {
 };
 
 /// CPU time consumed by the calling thread. Used by the sharded solver's
-/// forked children: when more children than cores run at once, the kernel
+/// per-shard solves: when more shards than cores run at once, the kernel
 /// time-slices them and wall clocks inflate with the shard count, but each
-/// child's thread-CPU time stays the cost a dedicated core (the production
+/// shard's thread-CPU time stays the cost a dedicated core (the production
 /// per-machine deployment) would pay. Falls back to the wall clock where
 /// the POSIX clock is unavailable.
 class ThreadCpuStopwatch {

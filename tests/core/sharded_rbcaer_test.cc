@@ -2,13 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <memory>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/rbcaer_scheme.h"
 #include "geo/zone_partition.h"
-#include "util/error.h"
 #include "trace/generator.h"
 #include "trace/world.h"
+#include "util/thread_pool.h"
 #include "verify/shard_audit.h"
 
 namespace ccdn {
@@ -43,45 +48,75 @@ struct Fixture {
   }
 };
 
+/// Plans one slot; `threaded_executor` makes the scheme solve its shards
+/// serially, as it does inside the simulator's window executor.
 SlotPlan plan_with(const Fixture& fixture, std::size_t shards,
-                   ShardExecutor executor, bool aggregation) {
+                   bool aggregation, bool threaded_executor = false) {
   RbcaerConfig config;
   config.content_aggregation = aggregation;
   config.num_shards = shards;
-  config.shard_executor = executor;
   RbcaerScheme scheme(config);
-  const SchemeContext context = fixture.context();
+  SchemeContext context = fixture.context();
+  context.threaded_executor = threaded_executor;
   const SlotDemand demand(fixture.trace, fixture.index);
   return scheme.plan_slot(context, fixture.trace, demand);
 }
 
-// shard=1 runs the sharded orchestration (partition, child solve, merge)
+// shard=1 runs the sharded orchestration (partition, shard solve, merge)
 // but must reproduce the unsharded plan bit for bit — the golden harness
 // pins this same contract on the full scheme matrix.
 TEST(ShardedRbcaer, ShardOneBitIdenticalToUnsharded) {
   const Fixture fixture;
   for (const bool aggregation : {true, false}) {
-    const SlotPlan unsharded =
-        plan_with(fixture, 0, ShardExecutor::kFork, aggregation);
-    const SlotPlan sharded =
-        plan_with(fixture, 1, ShardExecutor::kFork, aggregation);
+    const SlotPlan unsharded = plan_with(fixture, 0, aggregation);
+    const SlotPlan sharded = plan_with(fixture, 1, aggregation);
     EXPECT_EQ(unsharded.assignment, sharded.assignment);
     EXPECT_EQ(unsharded.placements, sharded.placements);
   }
 }
 
-// The per-shard solve is a pure function of the slot inputs, so the fork
-// executor and the in-process oracle must agree exactly.
-TEST(ShardedRbcaer, ForkAndInProcessExecutorsBitIdentical) {
+// The per-shard solve is a pure function of the slot inputs and results
+// land by shard index, so shards on the scheme's pool and shards run
+// serially (the threaded-executor path) must agree exactly.
+TEST(ShardedRbcaer, PoolAndSerialExecutorsBitIdentical) {
   const Fixture fixture;
   for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
-    const SlotPlan forked =
-        plan_with(fixture, shards, ShardExecutor::kFork, true);
-    const SlotPlan in_process =
-        plan_with(fixture, shards, ShardExecutor::kInProcess, true);
-    EXPECT_EQ(forked.assignment, in_process.assignment);
-    EXPECT_EQ(forked.placements, in_process.placements);
+    for (const bool aggregation : {true, false}) {
+      const SlotPlan pooled = plan_with(fixture, shards, aggregation);
+      const SlotPlan serial =
+          plan_with(fixture, shards, aggregation, /*threaded_executor=*/true);
+      EXPECT_EQ(pooled.assignment, serial.assignment);
+      EXPECT_EQ(pooled.placements, serial.placements);
+    }
   }
+}
+
+// Inside the simulator's window lanes a scheme must solve its shards
+// serially even after an earlier slot made its pool, and the plan must not
+// depend on which path a slot took.
+TEST(ShardedRbcaer, ThreadedCallerRunsShardsSerially) {
+  std::unique_ptr<ThreadPool> pool;
+  EXPECT_EQ(lazy_shard_pool(pool, 1, false), nullptr);
+  EXPECT_EQ(pool, nullptr);
+  EXPECT_EQ(lazy_shard_pool(pool, 2, true), nullptr);
+  EXPECT_EQ(pool, nullptr);
+  ThreadPool* const made = lazy_shard_pool(pool, 2, false);
+  ASSERT_NE(made, nullptr);
+  EXPECT_EQ(made, pool.get());
+  EXPECT_EQ(lazy_shard_pool(pool, 2, true), nullptr);
+  EXPECT_EQ(lazy_shard_pool(pool, 2, false), made);
+
+  const Fixture fixture;
+  RbcaerConfig config;
+  config.num_shards = 2;
+  RbcaerScheme scheme(config);
+  SchemeContext context = fixture.context();
+  const SlotDemand demand(fixture.trace, fixture.index);
+  const SlotPlan pooled = scheme.plan_slot(context, fixture.trace, demand);
+  context.threaded_executor = true;
+  const SlotPlan serial = scheme.plan_slot(context, fixture.trace, demand);
+  EXPECT_EQ(pooled.assignment, serial.assignment);
+  EXPECT_EQ(pooled.placements, serial.placements);
 }
 
 TEST(ShardedRbcaer, DiagnosticsReflectSharding) {
@@ -101,80 +136,48 @@ TEST(ShardedRbcaer, DiagnosticsReflectSharding) {
   EXPECT_GT(diagnostics.boundary_hotspots, 0u);
 }
 
-// Regression: fork() from a threaded caller. The simulator's window
-// executor runs scheme clones inside a ThreadPool; a clone that forked
-// would hand the child copies of whatever locks other pool threads held
-// (allocator, logger) with no thread left to release them. The scheme must
-// demote kFork to kInProcess when the context flags a threaded caller —
-// bit-identically, per the executor-equivalence contract pinned above.
-TEST(ShardedRbcaer, ThreadedCallerDemotesForkToInProcess) {
-  const Fixture fixture;
-  RbcaerConfig config;
-  config.num_shards = 2;
-  config.shard_executor = ShardExecutor::kFork;
-  RbcaerScheme scheme(config);
-  SchemeContext context = fixture.context();
-  const SlotDemand demand(fixture.trace, fixture.index);
+// A shard that throws must not leave its siblings running on the pool
+// (they capture solve_sharded's frame): the caller sees the shard's own
+// exception only after every shard finished, and no flow was committed.
+struct ShardFailure : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
 
-  const SlotPlan forked = scheme.plan_slot(context, fixture.trace, demand);
-  EXPECT_EQ(scheme.last_diagnostics().fork_demotions, 0u);
-
-  context.threaded_executor = true;
-  const SlotPlan demoted = scheme.plan_slot(context, fixture.trace, demand);
-  EXPECT_EQ(scheme.last_diagnostics().fork_demotions, 1u);
-  EXPECT_EQ(forked.assignment, demoted.assignment);
-  EXPECT_EQ(forked.placements, demoted.placements);
-}
-
-// Belt and braces under the demotion: the solver itself refuses the
-// combination rather than forking into a deadlock.
-TEST(ShardedRbcaer, SolveShardedRefusesForkFromThreadedCaller) {
-  const std::vector<Hotspot> hotspots(1);
-  const GridIndex index({hotspots[0].location}, 0.5);
+TEST(ShardedRbcaer, SolveShardedRethrowsShardFailureAfterJoin) {
+  const std::vector<Hotspot> hotspots(4);
+  const GridIndex index(
+      {hotspots[0].location, hotspots[1].location, hotspots[2].location,
+       hotspots[3].location},
+      0.5);
   HotspotPartition partition;
-  partition.phi = {0};
+  partition.phi = {3, 3, 3, 3};
   ShardAssignment assignment;
-  assignment.num_shards = 1;
-  assignment.shard_of = {0};
-  const std::vector<std::uint8_t> boundary{0};
-  ShardedSolveOptions options;
-  options.executor = ShardExecutor::kFork;
-  options.threaded_caller = true;
-  EXPECT_THROW(
-      solve_sharded(hotspots, index, partition, assignment, boundary, options,
-                    [](std::uint32_t) { return ShardFlowResult{}; }),
-      PreconditionError);
-  options.threaded_caller = false;
-  EXPECT_NO_THROW(
-      solve_sharded(hotspots, index, partition, assignment, boundary, options,
-                    [](std::uint32_t) { return ShardFlowResult{}; }));
-}
-
-TEST(ShardedRbcaer, ShardResultSerializationRoundTrips) {
-  ShardFlowResult result;
-  result.flows = {{3, 9, 5}, {12, 1, 2}};
-  result.moved = 7;
-  result.num_clusters = 4;
-  result.guide_nodes = 11;
-  result.theta_iterations = 3;
-  result.gc_build_s = 0.25;
-  result.graph_s = 0.5;
-  result.mcmf_s = 0.125;
-  const ShardFlowResult back =
-      deserialize_shard_result(serialize_shard_result(result));
-  ASSERT_EQ(back.flows.size(), result.flows.size());
-  for (std::size_t i = 0; i < back.flows.size(); ++i) {
-    EXPECT_EQ(back.flows[i].from, result.flows[i].from);
-    EXPECT_EQ(back.flows[i].to, result.flows[i].to);
-    EXPECT_EQ(back.flows[i].amount, result.flows[i].amount);
+  assignment.num_shards = 4;
+  assignment.shard_of = {0, 1, 2, 3};
+  const std::vector<std::uint8_t> boundary(4, 0);
+  ThreadPool pool(4);
+  std::atomic<int> finished{0};
+  for (ThreadPool* executor : {&pool, static_cast<ThreadPool*>(nullptr)}) {
+    finished = 0;
+    EXPECT_THROW(
+        (void)solve_sharded(
+            hotspots, index, partition, assignment, boundary, {}, executor,
+            [&](std::uint32_t s) {
+              if (s == 1) throw ShardFailure("shard 1 failed");
+              // Later shards finish later, so a rethrow that did not wait
+              // for them would be seen here.
+              std::this_thread::sleep_for(std::chrono::milliseconds(20 * s));
+              finished.fetch_add(1);
+              ShardFlowResult result;
+              result.flows = {{s, s, 1}};
+              return result;
+            }),
+        ShardFailure);
+    // Pooled: every sibling ran to completion before the rethrow. Serial:
+    // the failing shard stops the loop after shard 0.
+    EXPECT_EQ(finished.load(), executor != nullptr ? 3 : 1);
+    EXPECT_EQ(partition.phi, (std::vector<std::int64_t>{3, 3, 3, 3}));
   }
-  EXPECT_EQ(back.moved, result.moved);
-  EXPECT_EQ(back.num_clusters, result.num_clusters);
-  EXPECT_EQ(back.guide_nodes, result.guide_nodes);
-  EXPECT_EQ(back.theta_iterations, result.theta_iterations);
-  EXPECT_EQ(back.gc_build_s, result.gc_build_s);
-  EXPECT_EQ(back.graph_s, result.graph_s);
-  EXPECT_EQ(back.mcmf_s, result.mcmf_s);
 }
 
 // Negative coverage for the shard audits: out-of-shard locality and a

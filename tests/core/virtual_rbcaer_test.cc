@@ -88,27 +88,36 @@ TEST(VirtualRbcaer, MovesLoadBetweenRegions) {
   EXPECT_TRUE(plan.respects_caches(fixture.hotspots));
 }
 
-// Regression: the sharded regional sweep must never fork from inside a
-// multithreaded executor (same demotion contract as the flat scheme —
-// see ShardedRbcaer.ThreadedCallerDemotesForkToInProcess).
-TEST(VirtualRbcaer, ThreadedCallerDemotesRegionalForkToInProcess) {
-  TwoClusterFixture fixture;
-  const auto requests = west_demand(30);
-  const SlotDemand demand(requests, fixture.index);
-  VirtualRbcaerConfig config;
-  config.regional.num_shards = 2;
-  config.regional.shard_executor = ShardExecutor::kFork;
-  VirtualRbcaerScheme scheme(config);
-
-  SchemeContext context = fixture.context();
-  const SlotPlan forked = scheme.plan_slot(context, requests, demand);
-  EXPECT_EQ(scheme.last_diagnostics().fork_demotions, 0u);
-
-  context.threaded_executor = true;
-  const SlotPlan demoted = scheme.plan_slot(context, requests, demand);
-  EXPECT_EQ(scheme.last_diagnostics().fork_demotions, 1u);
-  EXPECT_EQ(forked.assignment, demoted.assignment);
-  EXPECT_EQ(forked.placements, demoted.placements);
+// The sharded regional sweep gives the same plan whether its shards run on
+// the scheme's pool or serially (the threaded-executor path): shard
+// results land by index and each shard solve is pure.
+TEST(VirtualRbcaer, PoolAndSerialExecutorsBitIdentical) {
+  WorldConfig world_config = WorldConfig::evaluation_region();
+  world_config.num_hotspots = 80;
+  world_config.num_videos = 500;
+  World world = generate_world(world_config);
+  assign_uniform_capacities(world, 40.0 / 500.0, 0.03);
+  TraceConfig trace_config;
+  trace_config.num_requests = 4000;
+  const auto trace = generate_trace(world, trace_config);
+  const GridIndex index(world.hotspot_locations(), 0.5);
+  const SlotDemand demand(trace, index);
+  for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
+    VirtualRbcaerConfig config;
+    config.region_km = 0.5;  // enough regions for a 4-way cut
+    config.regional.num_shards = shards;
+    VirtualRbcaerScheme pooled_scheme(config);
+    VirtualRbcaerScheme serial_scheme(config);
+    SchemeContext context{world.hotspots(), index, VideoCatalog{500},
+                          kCdnDistanceKm};
+    const SlotPlan pooled = pooled_scheme.plan_slot(context, trace, demand);
+    EXPECT_EQ(pooled_scheme.last_diagnostics().shards, shards);
+    EXPECT_GT(pooled_scheme.last_diagnostics().region_moved, 0);
+    context.threaded_executor = true;
+    const SlotPlan serial = serial_scheme.plan_slot(context, trace, demand);
+    EXPECT_EQ(pooled.assignment, serial.assignment);
+    EXPECT_EQ(pooled.placements, serial.placements);
+  }
 }
 
 TEST(VirtualRbcaer, FlatRbcaerCannotReachOtherClusterButVirtualCan) {

@@ -151,6 +151,35 @@ TEST(McmfSolver, FlowLimitSpreadsAcrossWarmCalls) {
   EXPECT_EQ(solver.augment(net, 0, 1).flow, 2);  // only 2 units remain
 }
 
+/// A path 0 -> 1 -> ... -> n-1 of unit-cost, capacity-5 edges.
+FlowNetwork chain(std::size_t n) {
+  FlowNetwork net(n);
+  for (std::size_t v = 0; v + 1 < n; ++v) {
+    (void)net.add_edge(static_cast<NodeId>(v), static_cast<NodeId>(v + 1), 5,
+                       1.0);
+  }
+  return net;
+}
+
+TEST(McmfSolver, RepriceOnSmallerNetworkKeepsSearchBuffersSized) {
+  // Regression: reprice_from used to resize the SPFA membership flags to
+  // the (smaller) network it repriced, leaving them shorter than the
+  // search labels; the next SPFA search on a mid-sized network then
+  // indexed past them.
+  McmfSolver solver;
+  FlowNetwork big = chain(64);
+  EXPECT_EQ(solver.augment(big, 0, 63).flow, 5);
+
+  FlowNetwork small = chain(4);
+  solver.reset_potentials(small.num_nodes());
+  solver.reprice_from(small, 0);
+
+  FlowNetwork mid = chain(32);
+  const auto result = solver.augment(mid, 0, 31);
+  EXPECT_EQ(result.flow, 5);
+  EXPECT_DOUBLE_EQ(result.cost, 5 * 31.0);
+}
+
 /// Random balanced bipartite instances, mirroring the Gd graphs RBCAer
 /// builds: source -> senders -> receivers -> sink with km-scale costs.
 FlowNetwork random_balance_graph(Rng& rng, std::size_t senders,

@@ -3,7 +3,7 @@
 //
 //   audit_run [--scheme=rbcaer|virtual|nearest|random] [--in=trace.csv]
 //             [--hotspots=310] [--videos=15190] [--requests=20000]
-//             [--hours=24] [--seed=42] [--slot-seconds=3600]
+//             [--hours=24] [--seed=42] [--slot_seconds=3600]
 //             [--capacity=0.05] [--cache=0.03] [--stream] [--shards=0]
 //             [--quiet]
 //
@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
                             flags.get_double("cache", 0.03));
 
   const std::string in = flags.get_string("in", "");
-  const std::int64_t slot_seconds = flags.get_int("slot-seconds", 3600);
+  const std::int64_t slot_seconds = flags.get_int("slot_seconds", 3600);
   const bool stream = flags.get_bool("stream", false);
   const bool quiet = flags.get_bool("quiet", false);
   TraceConfig trace_config;

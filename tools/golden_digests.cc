@@ -70,8 +70,8 @@ const char* const kSchemes[] = {"nearest",       "random",
 //
 //   "-shard1":  the zone-sharded orchestration with a single shard must be
 //               bit-identical to the unsharded path (DESIGN.md §3.12) —
-//               the fork + pipe + sub-instance rebuild hop may not change
-//               a single plan bit. Not pinned.
+//               the pool dispatch + sub-instance rebuild hop may not
+//               change a single plan bit. Not pinned.
 struct VariantCheck {
   const char* variant;
   const char* base;
