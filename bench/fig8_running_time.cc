@@ -29,6 +29,7 @@
 #include "core/rbcaer_scheme.h"
 #include "model/demand.h"
 #include "sim/simulator.h"
+#include "support/cold_sweep.h"
 #include "trace/generator.h"
 #include "trace/world.h"
 #include "util/flags.h"
@@ -51,9 +52,10 @@ double time_scheme(RedirectionScheme& scheme, const SchemeContext& context,
 
 // --- Warm-started θ sweep vs the cold rebuild-per-θ oracle. ---
 // Per-slot graph-build + MCMF seconds at bench scale (default H=2000), for
-// both the content-aggregation graph Gc and the plain distance graph Gd,
-// with the oracle equality check the incremental sweep guarantees (same
-// moved totals and identical plans; DESIGN.md §3.7). Two θ grids per graph:
+// both the content-aggregation graph Gc and the plain distance graph Gd:
+// RbcaerScheme's stage timings against the test oracle's cold slot
+// (tests/support/cold_sweep.h), with the plan comparison the tests use
+// (identical plans and diagnostics; DESIGN.md §3.7). Two θ grids per graph:
 // the coarse 0.3..1.5 km grid in 0.1 km steps (13 steps, most flow lands in
 // the first batch step) and a fine 0.05..1.5 km grid in 0.025 km steps
 // (59 steps, the flow arrives incrementally across the sweep). The fine
@@ -92,26 +94,24 @@ FlowBenchRow flow_bench_mode(const std::string& name, bool aggregation,
   config.delta_km = delta_km;
   config.content_aggregation = aggregation;
 
+  // The oracle plans up to Procedure 1; miss rerouting only reads the
+  // finished plan, so the comparison runs without it.
+  config.miss_redirection = false;
+
   FlowBenchRow row;
   row.name = name;
   row.hotspots = context.hotspots.size();
 
-  config.incremental_sweep = false;
-  RbcaerScheme cold(config);
-  config.incremental_sweep = true;
   RbcaerScheme warm(config);
-
-  SlotPlan cold_plan;
+  oracle::ColdPlan cold;
   SlotPlan warm_plan;
   row.cold_graph_s = row.cold_mcmf_s = row.warm_graph_s = row.warm_mcmf_s =
       1e300;
   for (std::size_t rep = 0; rep < repeats; ++rep) {
-    cold_plan = cold.plan_slot(context, trace, demand);
-    const StageTimings* cold_stages = cold.last_stage_timings();
-    if (cold_stages->graph_s + cold_stages->mcmf_s <
-        row.cold_graph_s + row.cold_mcmf_s) {
-      row.cold_graph_s = cold_stages->graph_s;
-      row.cold_mcmf_s = cold_stages->mcmf_s;
+    cold = oracle::cold_plan_slot(config, context, trace, demand);
+    if (cold.graph_s + cold.mcmf_s < row.cold_graph_s + row.cold_mcmf_s) {
+      row.cold_graph_s = cold.graph_s;
+      row.cold_mcmf_s = cold.mcmf_s;
     }
     warm_plan = warm.plan_slot(context, trace, demand);
     const StageTimings* warm_stages = warm.last_stage_timings();
@@ -123,16 +123,10 @@ FlowBenchRow flow_bench_mode(const std::string& name, bool aggregation,
   }
 
   const auto& wd = warm.last_diagnostics();
-  const auto& cd = cold.last_diagnostics();
   row.theta_steps = wd.theta_iterations;
   row.moved = wd.moved;
   row.reprices = wd.potential_reprices;
-  row.identical = wd.moved == cd.moved && wd.redirected == cd.redirected &&
-                  wd.replicas == cd.replicas &&
-                  wd.guide_nodes == cd.guide_nodes &&
-                  wd.theta_iterations == cd.theta_iterations &&
-                  warm_plan.assignment == cold_plan.assignment &&
-                  warm_plan.placements == cold_plan.placements;
+  row.identical = oracle::plan_mismatches(warm_plan, wd, cold).empty();
   return row;
 }
 

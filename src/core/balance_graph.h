@@ -13,7 +13,8 @@
 //     redirected requests with few extra replicas.
 //
 // Construction is split in two layers: build_gd/build_gc return a
-// self-contained BalanceGraph (the cold rebuild-per-θ path), while
+// self-contained BalanceGraph (the cold rebuild-per-θ path of the test
+// oracle, tests/support/cold_sweep.h, and of fig9's θ study), while
 // build_scaffold/append_gd_edges/append_gc_edges build the same structure
 // piecewise into a caller-owned FlowNetwork — that is what the incremental
 // θ sweep (core/theta_sweep.h) uses to keep one persistent network per slot.

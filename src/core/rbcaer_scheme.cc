@@ -17,115 +17,33 @@ namespace ccdn {
 
 namespace {
 
-/// Flow-phase result of one θ sweep (Algorithm 1 lines 5–12).
-struct SweepOutcome {
-  std::vector<FlowEntry> flows;  // per-θ increments, unmerged
-  std::int64_t moved = 0;
-  std::size_t guide_nodes = 0;
-  std::size_t theta_iterations = 0;
-  double graph_s = 0.0;
-  double mcmf_s = 0.0;
-  std::size_t potential_reprices = 0;
-};
-
-/// Algorithm 1's flow phase: θ sweep over Gc (or Gd when aggregation is
-/// off), then the residual Gd pass at θ2. Shared verbatim by the unsharded
-/// slot and by every shard's local solve — sharing the code is what keeps
-/// shard=1 plans bit-identical to the unsharded path. The cold
-/// rebuild-per-θ path ignores `sweeper`.
-SweepOutcome run_theta_sweep(const RbcaerConfig& config,
-                             std::span<const Hotspot> hotspots,
-                             const GridIndex& index,
-                             HotspotPartition& partition,
-                             std::int64_t max_movable,
-                             std::span<const std::uint32_t> cluster_of,
-                             ThetaSweeper& sweeper,
-                             std::vector<CandidateEdge>& candidate_buf) {
-  SweepOutcome out;
-  Stopwatch stage_clock;
-  const auto absorb = [&](const std::vector<FlowEntry>& extracted) {
-    for (const auto& f : extracted) {
-      partition.phi[f.from] -= f.amount;
-      partition.phi[f.to] -= f.amount;
-      CCDN_ENSURE(partition.phi[f.from] >= 0 && partition.phi[f.to] >= 0,
-                  "flow exceeded slack");
-      out.moved += f.amount;
-    }
-    out.flows.insert(out.flows.end(), extracted.begin(), extracted.end());
-  };
-  // Incremental steps already committed their flows (φ decremented, slack
-  // invariant checked inside the sweeper); just accumulate.
-  const auto absorb_step = [&](const SweepStep& step) {
-    out.moved += step.moved;
-    out.guide_nodes += step.guide_nodes;
-    out.graph_s += step.graph_s;
-    out.mcmf_s += step.mcmf_s;
-    out.flows.insert(out.flows.end(), step.flows.begin(), step.flows.end());
-  };
-
-  constexpr double kThetaEps = 1e-9;
+/// Algorithm 1's flow phase: the θ sweep over Gc (or Gd when aggregation
+/// is off), then the residual Gd pass at θ2. Shared verbatim by the
+/// unsharded slot and by every shard's local solve — sharing the code is
+/// what keeps shard=1 plans bit-identical to the unsharded path.
+SweepTotals run_theta_sweep(const RbcaerConfig& config,
+                            std::span<const Hotspot> hotspots,
+                            const GridIndex& index,
+                            HotspotPartition& partition,
+                            std::int64_t max_movable,
+                            std::span<const std::uint32_t> cluster_of,
+                            ThetaSweeper& sweeper,
+                            std::vector<CandidateEdge>& candidate_buf) {
   // Radius query per overloaded hotspot via the shared spatial index,
   // instead of scanning every (overloaded, under-utilized) pair.
-  const auto generate_candidates = [&] {
-    return candidate_edges(hotspots, partition, config.theta2_km, index);
-  };
-  if (config.incremental_sweep) {
-    const std::size_t reprices_before = sweeper.potential_reprices();
-    stage_clock.reset();
-    candidate_buf = generate_candidates();
-    sweeper.begin_slot(partition,
-                       std::span<const CandidateEdge>(candidate_buf));
-    out.graph_s += stage_clock.elapsed_seconds();
-    double theta = config.theta1_km;
-    while (theta <= config.theta2_km + kThetaEps && out.moved < max_movable) {
-      ++out.theta_iterations;
-      absorb_step(config.content_aggregation
-                      ? sweeper.step_gc(theta, cluster_of, config.guide)
-                      : sweeper.step_gd(theta));
-      theta += config.delta_km;
-    }
-    if (out.moved < max_movable) {
-      // Residual pass on the plain distance graph at θ2 (Algorithm 1,
-      // line 12); anything beyond that stays with its home hotspot and
-      // overflows to the CDN at admission (line 14).
-      absorb_step(sweeper.step_gd(config.theta2_km));
-    }
-    sweeper.end_slot();
-    out.potential_reprices = sweeper.potential_reprices() - reprices_before;
-  } else {
-    stage_clock.reset();
-    const std::vector<CandidateEdge> candidates = generate_candidates();
-    out.graph_s += stage_clock.elapsed_seconds();
-    double theta = config.theta1_km;
-    while (theta <= config.theta2_km + kThetaEps && out.moved < max_movable) {
-      stage_clock.reset();
-      BalanceGraph graph =
-          config.content_aggregation
-              ? build_gc(partition, candidates, theta, cluster_of,
-                         config.guide)
-              : build_gd(partition, candidates, theta);
-      out.graph_s += stage_clock.elapsed_seconds();
-      out.guide_nodes += graph.num_guide_nodes;
-      ++out.theta_iterations;
-      stage_clock.reset();
-      (void)MinCostMaxFlow::solve(graph.net, graph.source, graph.sink,
-                                  config.mcmf_strategy);
-      out.mcmf_s += stage_clock.elapsed_seconds();
-      absorb(extract_flows(graph));
-      theta += config.delta_km;
-    }
-    if (out.moved < max_movable) {
-      // Residual pass (Algorithm 1 line 12), as above.
-      stage_clock.reset();
-      BalanceGraph graph = build_gd(partition, candidates, config.theta2_km);
-      out.graph_s += stage_clock.elapsed_seconds();
-      stage_clock.reset();
-      (void)MinCostMaxFlow::solve(graph.net, graph.source, graph.sink,
-                                  config.mcmf_strategy);
-      out.mcmf_s += stage_clock.elapsed_seconds();
-      absorb(extract_flows(graph));
-    }
+  const Stopwatch setup_clock;
+  candidate_buf = candidate_edges(hotspots, partition, config.theta2_km, index);
+  sweeper.begin_slot(partition, std::span<const CandidateEdge>(candidate_buf));
+  const double setup_s = setup_clock.elapsed_seconds();
+  SweepTotals out = sweep_theta(sweeper, config, max_movable, cluster_of);
+  out.graph_s += setup_s;
+  if (out.moved < max_movable) {
+    // Residual pass on the plain distance graph at θ2 (Algorithm 1,
+    // line 12); anything beyond that stays with its home hotspot and
+    // overflows to the CDN at admission (line 14).
+    out.add(sweeper.step_gd(config.theta2_km));
   }
+  sweeper.end_slot();
   return out;
 }
 
@@ -138,6 +56,15 @@ ShardFlowResult solve_shard_instance(const RbcaerConfig& config,
                                      std::span<const Hotspot> hotspots,
                                      const SlotDemand& demand,
                                      std::span<const std::uint32_t> members) {
+  // Stage clocks below are wall time, which inflates when more shard
+  // threads than cores run at once (the kernel time-slices them). Track
+  // the shard's thread-CPU time alongside and rescale the reported stages
+  // by cpu/wall at the end: on an idle multicore box the ratio is ~1, and
+  // under contention the rescaled figures are the per-shard cost a
+  // dedicated core would pay — the quantity the critical-path model (max
+  // over shards) is meant to aggregate. The unscaled wall is reported too.
+  const Stopwatch solve_wall;
+  const ThreadCpuStopwatch solve_cpu;
   ShardFlowResult out;
   const std::size_t n = members.size();
   std::vector<Hotspot> sub_hotspots;
@@ -157,17 +84,11 @@ ShardFlowResult solve_shard_instance(const RbcaerConfig& config,
   HotspotPartition partition =
       HotspotPartition::from_loads(sub_hotspots, loads);
   const std::int64_t max_movable = partition.max_movable();
-  if (max_movable == 0) return out;
+  if (max_movable == 0) {
+    out.wall_s = solve_wall.elapsed_seconds();
+    return out;
+  }
 
-  // Stage clocks below are wall time, which inflates when more shard
-  // threads than cores run at once (the kernel time-slices them). Track
-  // the shard's thread-CPU time alongside and rescale the reported stages
-  // by cpu/wall at the end: on an idle multicore box the ratio is ~1, and
-  // under contention the rescaled figures are the per-shard cost a
-  // dedicated core would pay — the quantity the critical-path model (max
-  // over shards) is meant to aggregate.
-  const Stopwatch solve_wall;
-  const ThreadCpuStopwatch solve_cpu;
   Stopwatch stage_clock;
   std::vector<std::uint32_t> cluster_of(n, 0);
   if (config.content_aggregation) {
@@ -189,10 +110,10 @@ ShardFlowResult solve_shard_instance(const RbcaerConfig& config,
   // (candidate_edges applies the exact distance cut and sorts receivers by
   // index), so any grid works; mirror the simulator's cell.
   const GridIndex index(std::move(locations), 0.5);
-  ThetaSweeper sweeper(config.mcmf_strategy);
+  ThetaSweeper sweeper;
   sweeper.set_audit_level(config.audit_level);
   std::vector<CandidateEdge> candidate_buf;
-  SweepOutcome sweep =
+  SweepTotals sweep =
       run_theta_sweep(config, sub_hotspots, index, partition, max_movable,
                       cluster_of, sweeper, candidate_buf);
   out.moved = sweep.moved;
@@ -206,6 +127,7 @@ ShardFlowResult solve_shard_instance(const RbcaerConfig& config,
     f.to = members[f.to];
   }
   const double wall = solve_wall.elapsed_seconds();
+  out.wall_s = wall;
   if (wall > 0.0) {
     const double scale =
         std::min(1.0, solve_cpu.elapsed_seconds() / wall);
@@ -218,8 +140,7 @@ ShardFlowResult solve_shard_instance(const RbcaerConfig& config,
 
 }  // namespace
 
-RbcaerScheme::RbcaerScheme(RbcaerConfig config)
-    : config_(config), sweeper_(config.mcmf_strategy) {
+RbcaerScheme::RbcaerScheme(RbcaerConfig config) : config_(config) {
   // Finite radii and a step that actually advances θ2: otherwise the θ
   // loops never reach their bound and ∞ reaches the grid's radius query.
   CCDN_REQUIRE(std::isfinite(config_.theta1_km) &&
@@ -240,16 +161,6 @@ RbcaerScheme::RbcaerScheme(RbcaerConfig config)
 
 std::string RbcaerScheme::name() const {
   return config_.content_aggregation ? "RBCAer" : "RBCAer(no-aggregation)";
-}
-
-ThreadPool* RbcaerScheme::jd_pool() {
-  if (config_.jd_threads == 1) return nullptr;
-  if (!jd_pool_) {
-    jd_pool_ = std::make_unique<ThreadPool>(config_.jd_threads == 0
-                                                ? ThreadPool::default_threads()
-                                                : config_.jd_threads);
-  }
-  return jd_pool_.get();
 }
 
 SlotPlan RbcaerScheme::plan_slot(const SchemeContext& context,
@@ -296,8 +207,7 @@ SlotPlan RbcaerScheme::plan_slot(const SchemeContext& context,
     stage_clock.reset();
     const auto top_sets = top_sets_per_hotspot(demand, config_.top_fraction);
     const DistanceMatrix jd = content_distance_matrix(
-        top_sets, {.use_bitmap = config_.bitmap_jaccard, .pool = jd_pool(),
-                   .simd = config_.simd});
+        top_sets, {.use_bitmap = config_.bitmap_jaccard, .simd = config_.simd});
     const ClusteringResult clustering = hierarchical_cluster(
         jd, config_.linkage, config_.content_cluster_threshold, config_.simd);
     cluster_of = clustering.labels;
@@ -311,13 +221,15 @@ SlotPlan RbcaerScheme::plan_slot(const SchemeContext& context,
     if (sharded) {
       flows = plan_shard_flows(context, demand, partition, num_shards);
     } else {
-      SweepOutcome sweep = run_theta_sweep(
+      const std::size_t reprices_before = sweeper_.potential_reprices();
+      SweepTotals sweep = run_theta_sweep(
           config_, context.hotspots, context.hotspot_index, partition,
           diagnostics_.max_movable, cluster_of, sweeper_, candidate_buf_);
       diagnostics_.moved = sweep.moved;
       diagnostics_.guide_nodes = sweep.guide_nodes;
       diagnostics_.theta_iterations = sweep.theta_iterations;
-      diagnostics_.potential_reprices = sweep.potential_reprices;
+      diagnostics_.potential_reprices =
+          sweeper_.potential_reprices() - reprices_before;
       stage_timings_.graph_s += sweep.graph_s;
       stage_timings_.mcmf_s += sweep.mcmf_s;
       flows = std::move(sweep.flows);
@@ -382,19 +294,16 @@ std::vector<FlowEntry> RbcaerScheme::plan_shard_flows(
     shard_plan_.last = context.hotspots.back().location;
   }
 
-  // The shard solve must not touch this object's pools or sweeper:
-  // a neutralized config makes solve_shard_instance a pure function of
-  // (config, hotspots, demand, members) — safe to run concurrently and
-  // bit-identical to a serial run.
+  // The shard solve must not touch this object's pool or sweeper: it is a
+  // pure function of (config, hotspots, demand, members) — safe to run
+  // concurrently and bit-identical to a serial run.
   RbcaerConfig shard_config = config_;
   shard_config.num_shards = 0;
-  shard_config.jd_threads = 1;
 
   ShardedSolveOptions options;
   options.exchange_radius_km = config_.theta2_km;
   options.exchange_theta1_km = config_.theta1_km;
   options.exchange_theta_step_km = config_.delta_km;
-  options.exchange_strategy = config_.mcmf_strategy;
   options.audit_level = config_.audit_level;
 
   const auto& members = shard_plan_.assignment.members;
@@ -419,6 +328,8 @@ std::vector<FlowEntry> RbcaerScheme::plan_shard_flows(
     diagnostics_.theta_iterations =
         std::max(diagnostics_.theta_iterations, shard.theta_iterations);
     diagnostics_.shard_flow_s.push_back(shard.graph_s + shard.mcmf_s);
+    diagnostics_.slowest_shard_wall_s =
+        std::max(diagnostics_.slowest_shard_wall_s, shard.wall_s);
     // Stage timings report the parallel critical path: the slowest shard
     // per stage, plus the exchange round on the MCMF stage.
     stage_timings_.gc_build_s =

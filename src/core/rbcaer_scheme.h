@@ -23,7 +23,6 @@
 #include "core/scheme.h"
 #include "core/shard_solver.h"
 #include "core/theta_sweep.h"
-#include "flow/mcmf.h"
 #include "geo/zone_partition.h"
 #include "util/thread_pool.h"
 
@@ -54,12 +53,6 @@ struct RbcaerConfig {
   /// bit-identical plans (DESIGN.md §3.14); surfaced as --simd on the
   /// CLIs.
   SimdMode simd = SimdMode::kAuto;
-  /// Worker threads for the row-striped Jd matrix build. 1 (default) keeps
-  /// the build serial — the simulator already fans whole slots out across
-  /// threads, so intra-slot parallelism would oversubscribe there. Set to
-  /// 0 (all hardware threads) or an explicit count for single-slot /
-  /// large-H planning, e.g. the scalability benches.
-  std::size_t jd_threads = 1;
   /// Paper §III system model: "if the requested video is present in the
   /// suitable content hotspots, the request is scheduled to be served
   /// immediately". After the balancing redirections, requests whose home
@@ -68,12 +61,6 @@ struct RbcaerConfig {
   /// falling straight through to the CDN. Disable for the strict
   /// Procedure-1-only behaviour.
   bool miss_redirection = true;
-  McmfStrategy mcmf_strategy = McmfStrategy::kSpfa;
-  /// Warm-started θ sweep (ThetaSweeper): one persistent flow network per
-  /// slot, per-step edge appends, min-cost augmentation continued from the
-  /// frozen residual state. false falls back to the cold rebuild-per-θ
-  /// path, kept as the differential oracle (see DESIGN.md §3.7).
-  bool incremental_sweep = true;
   /// Invariant auditing of the planning pipeline (checked builds only;
   /// compiled out under NDEBUG). kPlan audits the slot's flows against the
   /// initial slack, Procedure 1's result against B_peak, and the finished
@@ -122,13 +109,14 @@ class RbcaerScheme final : public RedirectionScheme {
     std::size_t replicas = 0;
     std::size_t miss_rerouted = 0;  // local cache misses sent to neighbours
     /// Re-prices the warm sweep's Gd Dijkstra engine needed when an
-    /// appended edge broke its carried potentials (0 on the cold path).
+    /// appended edge broke its carried potentials (0 when sharded).
     std::size_t potential_reprices = 0;
     /// Sharded-path observability; all zero when the slot ran unsharded.
     std::size_t shards = 0;
     std::size_t boundary_hotspots = 0;
     std::int64_t exchange_moved = 0;  // units committed by the exchange round
     double shard_wall_s = 0.0;        // executor phase (dispatch -> all joined)
+    double slowest_shard_wall_s = 0.0;  // max over shards of their own wall
     double exchange_s = 0.0;          // exchange arc build + solve + commit
     std::vector<double> shard_flow_s;  // per shard: graph_s + mcmf_s
   };
@@ -150,16 +138,9 @@ class RbcaerScheme final : public RedirectionScheme {
       const SchemeContext& context, const SlotDemand& demand,
       HotspotPartition& partition, std::size_t num_shards);
 
-  /// Pool for the Jd matrix build, lazily created on first use when
-  /// config_.jd_threads != 1; nullptr means build serially. Clones start
-  /// without a pool and create their own, so parallel-slot planning stays
-  /// isolated per clone.
-  [[nodiscard]] ThreadPool* jd_pool();
-
   RbcaerConfig config_;
   mutable Diagnostics diagnostics_;
   StageTimings stage_timings_;
-  std::unique_ptr<ThreadPool> jd_pool_;
   /// Per-shard solve pool (lazy_shard_pool); clones make their own.
   std::unique_ptr<ThreadPool> shard_pool_;
   /// Persistent across slots so the warm sweep's buffers stop churning the

@@ -143,8 +143,8 @@ ShardedSolveOutcome solve_sharded(std::span<const Hotspot> hotspots,
         live.push_back({arc.from, arc.to, arc.cost_km, cap});
       }
       if (!live.empty()) {
-        const ExchangeResult exchange = solve_exchange(
-            partition.phi, partition.phi, live, options.exchange_strategy);
+        const ExchangeResult exchange =
+            solve_exchange(partition.phi, partition.phi, live);
         for (const ExchangeFlow& f : exchange.flows) {
           outcome.exchange_flows.push_back({f.from, f.to, f.amount});
           partition.phi[f.from] -= f.amount;

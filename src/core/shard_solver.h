@@ -48,8 +48,8 @@ class ThreadPool;
 
 /// What one shard's local solve returns. Flows are in GLOBAL hotspot ids;
 /// the timing fields are measured inside the shard solve (so they exclude
-/// dispatch and join overhead — that lives in ShardedSolveOutcome's wall
-/// clock).
+/// dispatch and join overhead: ShardedSolveOutcome::shard_wall_s minus the
+/// slowest shard's wall_s is that overhead).
 struct ShardFlowResult {
   std::vector<FlowEntry> flows;
   std::int64_t moved = 0;
@@ -59,6 +59,7 @@ struct ShardFlowResult {
   double gc_build_s = 0.0;  // content clustering
   double graph_s = 0.0;     // candidate + Gd/Gc construction
   double mcmf_s = 0.0;      // augmentation
+  double wall_s = 0.0;      // the whole shard solve, wall clock
 };
 
 struct ShardedSolveOptions {
@@ -73,7 +74,6 @@ struct ShardedSolveOptions {
   /// full radius.
   double exchange_theta1_km = 0.0;
   double exchange_theta_step_km = 0.0;
-  McmfStrategy exchange_strategy = McmfStrategy::kSpfa;
   AuditLevel audit_level = AuditLevel::kOff;
 };
 

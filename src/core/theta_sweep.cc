@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/rbcaer_scheme.h"
 #include "util/error.h"
 #include "util/stopwatch.h"
 #include "verify/flow_audit.h"
@@ -230,11 +231,8 @@ SweepStep ThetaSweeper::step_gd(double theta_km) {
       // incremental one — every arc is new and the potentials carry no
       // information yet. The carried-potentials Dijkstra is pathological
       // here (each search heap-churns the whole zero-cost sender plateau),
-      // so run it with the configured cold-path engine instead; the
-      // warm-start machinery takes over from the next step on.
-      if (strategy_ == McmfStrategy::kDijkstraPotentials) {
-        solver_.reset_potentials(net_.num_nodes());
-      }
+      // so run it with SPFA instead; the warm-start machinery takes over
+      // from the next step on.
       res = solver_.augment(net_, map_.source, map_.sink);
       gd_batch_done_ = true;
     } else {
@@ -342,12 +340,6 @@ SweepStep ThetaSweeper::step_gc(double theta_km,
   last_guide_nodes_ = out.guide_nodes;
   out.graph_s = clock.elapsed_seconds();
   clock.reset();
-  if (strategy_ == McmfStrategy::kDijkstraPotentials) {
-    // Carried prices would steer Dijkstra's zero-cost tie-breaking away
-    // from the cold oracle's, breaking the Gc bit-identity contract —
-    // reset per epoch exactly as the cold path does.
-    solver_.reset_potentials(net_.num_nodes());
-  }
   const McmfResult res = solver_.augment(net_, map_.source, map_.sink);
   out.moved = res.flow;
   out.cost = res.cost;
@@ -364,6 +356,30 @@ SweepStep ThetaSweeper::step_gc(double theta_km,
   commit(out);
   last_kind_ = StepKind::kGc;
   last_flow_ = res.flow;
+  return out;
+}
+
+void SweepTotals::add(const SweepStep& step) {
+  moved += step.moved;
+  guide_nodes += step.guide_nodes;
+  graph_s += step.graph_s;
+  mcmf_s += step.mcmf_s;
+  flows.insert(flows.end(), step.flows.begin(), step.flows.end());
+}
+
+SweepTotals sweep_theta(ThetaSweeper& sweeper, const RbcaerConfig& config,
+                        std::int64_t max_movable,
+                        std::span<const std::uint32_t> cluster_of) {
+  SweepTotals out;
+  constexpr double kThetaEps = 1e-9;
+  double theta = config.theta1_km;
+  while (theta <= config.theta2_km + kThetaEps && out.moved < max_movable) {
+    ++out.theta_iterations;
+    out.add(config.content_aggregation
+                ? sweeper.step_gc(theta, cluster_of, config.guide)
+                : sweeper.step_gd(theta));
+    theta += config.delta_km;
+  }
   return out;
 }
 

@@ -1,8 +1,9 @@
 // Incremental θ sweep for Algorithm 1 (the warm-started MCMF loop).
 //
-// The cold path rebuilds a BalanceGraph and re-solves MCMF from zero flow at
-// every θ step, even though consecutive steps differ only by the candidate
-// edges with d ∈ [θ_prev, θ). ThetaSweeper keeps ONE FlowNetwork per slot:
+// The cold path (the differential oracle in tests/support/cold_sweep.h)
+// rebuilds a BalanceGraph and re-solves MCMF from zero flow at every θ
+// step, even though consecutive steps differ only by the candidate edges
+// with d ∈ [θ_prev, θ). ThetaSweeper keeps ONE FlowNetwork per slot:
 // the source/sink scaffold is built once, the candidate list is sorted by
 // distance once, and each step appends only the newly visible edges and
 // continues min-cost augmentation from the existing residual state.
@@ -61,15 +62,14 @@ struct SweepStep {
 
 class ThetaSweeper {
  public:
-  /// `strategy` is used for the Gc steps, whose zero-cost member edges tie
-  /// and therefore need the exact search the cold oracle runs to stay
-  /// bit-for-bit identical. Gd steps always use the carried-potentials
-  /// Dijkstra engine (see gd_solver_); plain distance costs make ties
-  /// measure-zero, so the flows still match the cold path's solutions.
-  explicit ThetaSweeper(McmfStrategy strategy = McmfStrategy::kSpfa)
-      : solver_(strategy, &arena_),
-        gd_solver_(McmfStrategy::kDijkstraPotentials, &arena_),
-        strategy_(strategy) {}
+  /// Gc steps run SPFA: their zero-cost member edges tie, so they need the
+  /// exact search the cold oracle runs to stay bit-for-bit identical. Gd
+  /// steps use the carried-potentials Dijkstra engine (see gd_solver_);
+  /// plain distance costs make ties measure-zero, so the flows still match
+  /// the cold path's solutions.
+  ThetaSweeper()
+      : solver_(McmfStrategy::kSpfa, &arena_),
+        gd_solver_(McmfStrategy::kDijkstraPotentials, &arena_) {}
 
   // The lane arena hands out interior pointers to members; moving the
   // sweeper would leave the solvers' buffers pointing into the old object.
@@ -152,9 +152,7 @@ class ThetaSweeper {
   /// it backs.
   BumpArena arena_;
 
-  /// Gc steps' engine (and the Gd batch step's). Under kDijkstraPotentials
-  /// it resets its potentials per epoch: carried prices would change
-  /// zero-cost tie-breaking.
+  /// SPFA: the Gc steps' engine and the Gd batch step's.
   McmfSolver solver_;
   /// Gd steps: Dijkstra with potentials carried across the persistent
   /// regime's appends. Tight potentials make the next path price at
@@ -162,7 +160,6 @@ class ThetaSweeper {
   /// immediately and the sink-bound prune cuts nearly every other label —
   /// measured ~3x fewer arc scans than SPFA on the same warm graph.
   McmfSolver gd_solver_;
-  McmfStrategy strategy_;
 
   HotspotPartition* partition_ = nullptr;
   // original candidate_edges order
@@ -210,5 +207,30 @@ class ThetaSweeper {
   std::size_t last_guide_nodes_ = 0;
   AuditLevel audit_level_ = AuditLevel::kOff;
 };
+
+struct RbcaerConfig;
+
+/// Running totals of one slot's θ sweep.
+struct SweepTotals {
+  std::vector<FlowEntry> flows;  // per-step increments, unmerged
+  std::int64_t moved = 0;
+  std::size_t guide_nodes = 0;
+  std::size_t theta_iterations = 0;
+  double graph_s = 0.0;
+  double mcmf_s = 0.0;
+
+  /// Accumulate one committed step (the sweeper already decremented φ).
+  void add(const SweepStep& step);
+};
+
+/// Algorithm 1's θ loop on a slot `sweeper` has begun: one step per
+/// θ = θ1, θ1+δ, … ≤ θ2 while less than `max_movable` has moved, on Gc
+/// (labels `cluster_of`, options `config.guide`) when
+/// `config.content_aggregation` is set and on Gd otherwise. The residual
+/// Gd pass at θ2 (line 12) is the caller's.
+[[nodiscard]] SweepTotals sweep_theta(ThetaSweeper& sweeper,
+                                      const RbcaerConfig& config,
+                                      std::int64_t max_movable,
+                                      std::span<const std::uint32_t> cluster_of);
 
 }  // namespace ccdn

@@ -10,6 +10,7 @@
 #include "core/balance_graph.h"
 #include "core/replication.h"
 #include "core/shard_solver.h"
+#include "core/theta_sweep.h"
 #include "geo/geo_point.h"
 #include "geo/grid_index.h"
 #include "geo/zone_partition.h"
@@ -59,20 +60,16 @@ std::pair<std::vector<std::uint32_t>, std::size_t> partition_regions(
   return {std::move(label), cell_label.size()};
 }
 
-/// The region-level cold θ loop: candidate edges over a centroid index,
-/// Gc/Gd per θ, flows committed against the given partition. Shared by the
-/// unsharded path and every shard's local solve (shard=1 stays
-/// bit-identical).
-struct RegionalSweepResult {
-  std::vector<FlowEntry> flows;
-  std::int64_t moved = 0;
-};
-
-RegionalSweepResult regional_flow_sweep(
-    const RbcaerConfig& rc, std::span<const Hotspot> hotspots,
-    HotspotPartition& partition, std::int64_t max_movable,
-    std::span<const std::uint32_t> cluster_of) {
-  RegionalSweepResult out;
+/// The region-level θ sweep: candidate edges over a centroid index, then
+/// Algorithm 1's θ loop on a warm sweeper, flows committed against the
+/// given partition. No residual Gd pass: region-level overflow is left to
+/// the member hotspots. Shared by the unsharded path and every shard's
+/// local solve (shard=1 stays bit-identical).
+SweepTotals regional_flow_sweep(const RbcaerConfig& rc,
+                                std::span<const Hotspot> hotspots,
+                                HotspotPartition& partition,
+                                std::int64_t max_movable,
+                                std::span<const std::uint32_t> cluster_of) {
   // Radius queries against a centroid index, like the flat scheme (the
   // pair-scan candidate_edges_pairscan overload is test-only).
   std::vector<GeoPoint> centroids;
@@ -82,22 +79,11 @@ RegionalSweepResult regional_flow_sweep(
                                std::max(rc.theta2_km / 2.0, 1e-3));
   const auto candidates =
       candidate_edges(hotspots, partition, rc.theta2_km, region_index);
-  double theta = rc.theta1_km;
-  while (theta <= rc.theta2_km + 1e-9 && out.moved < max_movable) {
-    BalanceGraph graph =
-        rc.content_aggregation
-            ? build_gc(partition, candidates, theta, cluster_of, rc.guide)
-            : build_gd(partition, candidates, theta);
-    (void)MinCostMaxFlow::solve(graph.net, graph.source, graph.sink,
-                                rc.mcmf_strategy);
-    for (const auto& f : extract_flows(graph)) {
-      out.flows.push_back(f);
-      partition.phi[f.from] -= f.amount;
-      partition.phi[f.to] -= f.amount;
-      out.moved += f.amount;
-    }
-    theta += rc.delta_km;
-  }
+  ThetaSweeper sweeper;
+  sweeper.set_audit_level(rc.audit_level);
+  sweeper.begin_slot(partition, candidates);
+  SweepTotals out = sweep_theta(sweeper, rc, max_movable, cluster_of);
+  sweeper.end_slot();
   return out;
 }
 
@@ -201,7 +187,6 @@ SlotPlan VirtualRbcaerScheme::plan_slot(const SchemeContext& context,
       options.exchange_radius_km = rc.theta2_km;
       options.exchange_theta1_km = rc.theta1_km;
       options.exchange_theta_step_km = rc.delta_km;
-      options.exchange_strategy = rc.mcmf_strategy;
       options.audit_level = rc.audit_level;
       const auto& cluster_labels = cluster_of;
       ShardedSolveOutcome outcome = solve_sharded(
@@ -209,6 +194,7 @@ SlotPlan VirtualRbcaerScheme::plan_slot(const SchemeContext& context,
           options,
           lazy_shard_pool(shard_pool_, num_shards, context.threaded_executor),
           [&](std::uint32_t s) {
+            const Stopwatch wall;
             const auto& mem = assignment.members[s];
             std::vector<Hotspot> sub;
             sub.reserve(mem.size());
@@ -236,7 +222,7 @@ SlotPlan VirtualRbcaerScheme::plan_slot(const SchemeContext& context,
             // with the shard count, while CPU time stays the per-shard cost
             // a dedicated core would pay.
             const ThreadCpuStopwatch clock;
-            RegionalSweepResult swept =
+            SweepTotals swept =
                 regional_flow_sweep(rc, sub, sub_partition,
                                     sub_partition.max_movable(), sub_clusters);
             out.mcmf_s = clock.elapsed_seconds();
@@ -246,6 +232,7 @@ SlotPlan VirtualRbcaerScheme::plan_slot(const SchemeContext& context,
               f.from = mem[f.from];
               f.to = mem[f.to];
             }
+            out.wall_s = wall.elapsed_seconds();
             return out;
           });
       diagnostics_.region_moved = outcome.moved;
@@ -254,7 +241,7 @@ SlotPlan VirtualRbcaerScheme::plan_slot(const SchemeContext& context,
       diagnostics_.exchange_moved = outcome.exchange_moved;
       region_flows = std::move(outcome.flows);
     } else {
-      RegionalSweepResult swept =
+      SweepTotals swept =
           regional_flow_sweep(rc, virtual_hotspots, partition,
                               diagnostics_.region_max_movable, cluster_of);
       diagnostics_.region_moved = swept.moved;

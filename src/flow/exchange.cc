@@ -10,8 +10,7 @@ namespace ccdn {
 
 ExchangeResult solve_exchange(std::span<const std::int64_t> supply,
                               std::span<const std::int64_t> demand,
-                              std::span<const ExchangeArc> arcs,
-                              McmfStrategy strategy) {
+                              std::span<const ExchangeArc> arcs) {
   ExchangeResult result;
   if (arcs.empty()) return result;
 
@@ -60,7 +59,7 @@ ExchangeResult solve_exchange(std::span<const std::int64_t> supply,
                                arcs[a].cost_km);
   }
 
-  const McmfResult solved = MinCostMaxFlow::solve(net, source, sink, strategy);
+  const McmfResult solved = MinCostMaxFlow::solve(net, source, sink);
   result.moved = solved.flow;
   result.cost_km = solved.cost;
 

@@ -57,7 +57,6 @@ struct ExchangeResult {
 /// arcs are added in caller order.
 [[nodiscard]] ExchangeResult solve_exchange(
     std::span<const std::int64_t> supply, std::span<const std::int64_t> demand,
-    std::span<const ExchangeArc> arcs,
-    McmfStrategy strategy = McmfStrategy::kSpfa);
+    std::span<const ExchangeArc> arcs);
 
 }  // namespace ccdn

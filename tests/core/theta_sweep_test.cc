@@ -4,11 +4,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/balance_graph.h"
 #include "core/rbcaer_scheme.h"
 #include "flow/mcmf.h"
+#include "support/cold_sweep.h"
 #include "trace/generator.h"
 #include "trace/world.h"
 #include "util/rng.h"
@@ -16,9 +18,12 @@
 namespace ccdn {
 namespace {
 
+using oracle::cold_sweep;
+using oracle::SweepRecord;
+
 // ---------------------------------------------------------------------------
-// Differential harness: the cold rebuild-per-θ loop (the oracle, exactly as
-// RbcaerScheme's incremental_sweep=false branch runs it) vs ThetaSweeper.
+// Differential harness: the cold rebuild-per-θ loop (the oracle in
+// tests/support/cold_sweep.h) vs ThetaSweeper.
 // ---------------------------------------------------------------------------
 
 struct Instance {
@@ -52,47 +57,12 @@ std::vector<double> theta_grid(double theta1, double theta2, double delta) {
   return thetas;
 }
 
-struct SweepRecord {
-  std::int64_t moved = 0;
-  double cost = 0.0;
-  std::size_t guide_nodes = 0;
-  std::vector<FlowEntry> flows;      // merged across all steps
-  std::vector<std::int64_t> phi;     // partition slack after the sweep
-  std::size_t reprices = 0;
-};
-
-SweepRecord cold_sweep(HotspotPartition partition,
-                       const std::vector<CandidateEdge>& candidates,
-                       const std::vector<double>& thetas, bool aggregation,
-                       std::span<const std::uint32_t> cluster_of,
-                       const GuideOptions& guide, McmfStrategy strategy) {
-  SweepRecord rec;
-  for (const double theta : thetas) {
-    BalanceGraph graph =
-        aggregation ? build_gc(partition, candidates, theta, cluster_of, guide)
-                    : build_gd(partition, candidates, theta);
-    const auto result =
-        MinCostMaxFlow::solve(graph.net, graph.source, graph.sink, strategy);
-    rec.cost += result.cost;
-    rec.guide_nodes += graph.num_guide_nodes;
-    for (const auto& f : extract_flows(graph)) {
-      partition.phi[f.from] -= f.amount;
-      partition.phi[f.to] -= f.amount;
-      rec.moved += f.amount;
-      rec.flows.push_back(f);
-    }
-  }
-  merge_flow_entries(rec.flows);
-  rec.phi = partition.phi;
-  return rec;
-}
-
 SweepRecord warm_sweep(HotspotPartition partition,
                        std::vector<CandidateEdge> candidates,
                        const std::vector<double>& thetas, bool aggregation,
                        std::span<const std::uint32_t> cluster_of,
-                       const GuideOptions& guide, McmfStrategy strategy) {
-  ThetaSweeper sweeper(strategy);
+                       const GuideOptions& guide) {
+  ThetaSweeper sweeper;
   sweeper.begin_slot(partition, std::move(candidates));
   SweepRecord rec;
   for (const double theta : thetas) {
@@ -134,11 +104,9 @@ TEST_P(ThetaSweepDifferential, GdWarmMatchesCold) {
   const auto thetas = theta_grid(0.3, 1.5, 0.1);  // 13 steps
 
   const SweepRecord cold = cold_sweep(partition, candidates, thetas, false,
-                                      inst.cluster_of, {},
-                                      McmfStrategy::kSpfa);
+                                      inst.cluster_of, {});
   const SweepRecord warm = warm_sweep(partition, candidates, thetas, false,
-                                      inst.cluster_of, {},
-                                      McmfStrategy::kSpfa);
+                                      inst.cluster_of, {});
 
   EXPECT_EQ(warm.moved, cold.moved);
   EXPECT_NEAR(warm.cost, cold.cost, 1e-6);
@@ -160,11 +128,9 @@ TEST_P(ThetaSweepDifferential, GcWarmMatchesColdBitForBit) {
   const GuideOptions guide;
 
   const SweepRecord cold = cold_sweep(partition, candidates, thetas, true,
-                                      inst.cluster_of, guide,
-                                      McmfStrategy::kSpfa);
+                                      inst.cluster_of, guide);
   const SweepRecord warm = warm_sweep(partition, candidates, thetas, true,
-                                      inst.cluster_of, guide,
-                                      McmfStrategy::kSpfa);
+                                      inst.cluster_of, guide);
 
   EXPECT_EQ(warm.moved, cold.moved);
   EXPECT_EQ(warm.guide_nodes, cold.guide_nodes);
@@ -178,35 +144,25 @@ TEST_P(ThetaSweepDifferential, GcSweepThenGdResidualMatchesCold) {
   // Gd pass at θ2. Exercises the kGc → kGdTransient regime switch.
   Rng rng(GetParam() * 13007 + 29);
   const Instance inst = random_instance(rng, 20, 3);
-  HotspotPartition cold_partition =
+  const HotspotPartition partition =
       HotspotPartition::from_loads(inst.hotspots, inst.loads);
-  HotspotPartition warm_partition = cold_partition;
+  HotspotPartition warm_partition = partition;
   const auto candidates =
-      candidate_edges_pairscan(inst.hotspots, cold_partition, 1.5);
+      candidate_edges_pairscan(inst.hotspots, partition, 1.5);
   const auto thetas = theta_grid(0.3, 1.5, 0.1);
   const GuideOptions guide;
 
-  SweepRecord cold;
-  const auto cold_step = [&](const BalanceGraph& graph) {
-    for (const auto& f : extract_flows(graph)) {
-      cold_partition.phi[f.from] -= f.amount;
-      cold_partition.phi[f.to] -= f.amount;
-      cold.moved += f.amount;
-      cold.flows.push_back(f);
-    }
-  };
-  for (const double theta : thetas) {
-    BalanceGraph graph = build_gc(cold_partition, candidates, theta,
-                                  inst.cluster_of, guide);
-    (void)MinCostMaxFlow::solve(graph.net, graph.source, graph.sink);
-    cold_step(graph);
-  }
-  {
-    BalanceGraph graph = build_gd(cold_partition, candidates, 1.5);
-    (void)MinCostMaxFlow::solve(graph.net, graph.source, graph.sink);
-    cold_step(graph);
-  }
-  merge_flow_entries(cold.flows);
+  // Cold: the Gc grid, then one Gd solve at θ2 on the slack it left.
+  const SweepRecord cold_gc =
+      cold_sweep(partition, candidates, thetas, true, inst.cluster_of, guide);
+  HotspotPartition residual = partition;
+  residual.phi = cold_gc.phi;
+  const SweepRecord cold_gd =
+      cold_sweep(residual, candidates, {1.5}, false, inst.cluster_of, guide);
+  std::vector<FlowEntry> cold_flows = cold_gc.flows;
+  cold_flows.insert(cold_flows.end(), cold_gd.flows.begin(),
+                    cold_gd.flows.end());
+  merge_flow_entries(cold_flows);
 
   SweepRecord warm;
   ThetaSweeper sweeper;
@@ -222,9 +178,9 @@ TEST_P(ThetaSweepDifferential, GcSweepThenGdResidualMatchesCold) {
   sweeper.end_slot();
   merge_flow_entries(warm.flows);
 
-  EXPECT_EQ(warm.moved, cold.moved);
-  EXPECT_EQ(warm_partition.phi, cold_partition.phi);
-  expect_same_flows(warm.flows, cold.flows);
+  EXPECT_EQ(warm.moved, cold_gc.moved + cold_gd.moved);
+  EXPECT_EQ(warm_partition.phi, cold_gd.phi);
+  expect_same_flows(warm.flows, cold_flows);
 }
 
 TEST_P(ThetaSweepDifferential, DijkstraPotentialsStayValidAcrossSteps) {
@@ -242,11 +198,9 @@ TEST_P(ThetaSweepDifferential, DijkstraPotentialsStayValidAcrossSteps) {
   const auto thetas = theta_grid(0.3, 1.5, 0.1);
 
   const SweepRecord oracle = cold_sweep(partition, candidates, thetas, false,
-                                        inst.cluster_of, {},
-                                        McmfStrategy::kSpfa);
+                                        inst.cluster_of, {});
   const SweepRecord warm = warm_sweep(partition, candidates, thetas, false,
-                                      inst.cluster_of, {},
-                                      McmfStrategy::kDijkstraPotentials);
+                                      inst.cluster_of, {});
 
   EXPECT_EQ(warm.moved, oracle.moved);
   EXPECT_NEAR(warm.cost, oracle.cost, 1e-6);
@@ -271,7 +225,7 @@ TEST(ThetaSweepArena, SteadyStateSlotsAcquireNoMemory) {
   const auto thetas = theta_grid(0.3, 1.5, 0.1);
   const GuideOptions guide;
 
-  ThetaSweeper sweeper(McmfStrategy::kSpfa);
+  ThetaSweeper sweeper;
   std::size_t warm_blocks = 0;
   std::size_t warm_bytes = 0;
   std::size_t warm_allocations = 0;
@@ -298,8 +252,8 @@ TEST(ThetaSweepArena, SteadyStateSlotsAcquireNoMemory) {
 }
 
 // ---------------------------------------------------------------------------
-// Scheme-level differential: incremental_sweep on/off must produce the same
-// SlotPlan and diagnostics on the seed scenarios.
+// Scheme-level differential: RbcaerScheme's warm sweep and the oracle's cold
+// slot must produce the same SlotPlan and diagnostics.
 // ---------------------------------------------------------------------------
 
 struct Fixture {
@@ -346,25 +300,21 @@ void expect_same_plan_and_diagnostics(RbcaerConfig config,
                                       const SchemeContext& context,
                                       std::span<const Request> requests,
                                       const SlotDemand& demand) {
-  config.incremental_sweep = true;
+  // Miss rerouting reads only the finished plan, so plans equal without it
+  // stay equal with it; the oracle stops at Procedure 1.
+  config.miss_redirection = false;
   RbcaerScheme warm(config);
-  const SlotPlan warm_plan = warm.plan_slot(context, requests, demand);
-  config.incremental_sweep = false;
-  RbcaerScheme cold(config);
-  const SlotPlan cold_plan = cold.plan_slot(context, requests, demand);
-
-  EXPECT_EQ(warm_plan.assignment, cold_plan.assignment);
-  EXPECT_EQ(warm_plan.placements, cold_plan.placements);
-  const auto& w = warm.last_diagnostics();
-  const auto& c = cold.last_diagnostics();
-  EXPECT_EQ(w.max_movable, c.max_movable);
-  EXPECT_EQ(w.moved, c.moved);
-  EXPECT_EQ(w.redirected, c.redirected);
-  EXPECT_EQ(w.num_clusters, c.num_clusters);
-  EXPECT_EQ(w.guide_nodes, c.guide_nodes);
-  EXPECT_EQ(w.theta_iterations, c.theta_iterations);
-  EXPECT_EQ(w.replicas, c.replicas);
-  EXPECT_EQ(w.miss_rerouted, c.miss_rerouted);
+  const SlotPlan plan = warm.plan_slot(context, requests, demand);
+  const oracle::ColdPlan cold =
+      oracle::cold_plan_slot(config, context, requests, demand);
+  EXPECT_GT(warm.last_diagnostics().theta_iterations, 0u);
+  std::string diverged;
+  for (const std::string& field :
+       oracle::plan_mismatches(plan, warm.last_diagnostics(), cold)) {
+    diverged += ' ' + field;
+  }
+  EXPECT_TRUE(diverged.empty()) << "warm plan differs from the oracle in:"
+                                << diverged;
 }
 
 TEST(ThetaSweepScheme, IncrementalMatchesColdOnSeedScenarios) {
@@ -404,19 +354,6 @@ TEST(ThetaSweepScheme, IncrementalMatchesColdWithoutAggregation) {
   config.delta_km = 0.1;
   Fixture fixture;
   const auto requests = hot_demand(25, {1, 2, 3});
-  const SlotDemand demand(requests, fixture.index);
-  expect_same_plan_and_diagnostics(config, fixture.context(), requests,
-                                   demand);
-}
-
-TEST(ThetaSweepScheme, IncrementalMatchesColdUnderDijkstra) {
-  RbcaerConfig config;
-  config.mcmf_strategy = McmfStrategy::kDijkstraPotentials;
-  config.theta1_km = 0.3;
-  config.theta2_km = 1.5;
-  config.delta_km = 0.1;
-  Fixture fixture;
-  const auto requests = hot_demand(40, {1, 2, 3, 4});
   const SlotDemand demand(requests, fixture.index);
   expect_same_plan_and_diagnostics(config, fixture.context(), requests,
                                    demand);

@@ -94,24 +94,6 @@ TEST(ParallelSimulator, RbcaerIdenticalAcrossThreadCounts) {
   expect_identical(sequential, parallel);
 }
 
-TEST(ParallelSimulator, IncrementalSweepIdenticalAcrossThreadsAndColdPath) {
-  // The warm-started θ sweep keeps per-scheme solver state (ThetaSweeper);
-  // clones must stay isolated so parallel slot planning is still pure, and
-  // the whole simulation must match the cold rebuild-per-θ oracle.
-  const Workload workload;
-  RbcaerConfig warm_config;
-  warm_config.incremental_sweep = true;  // explicit, though it is the default
-  RbcaerConfig cold_config = warm_config;
-  cold_config.incremental_sweep = false;
-  RbcaerScheme warm_sequential(warm_config);
-  RbcaerScheme warm_parallel(warm_config);
-  RbcaerScheme cold_sequential(cold_config);
-  const auto sequential = workload.run(warm_sequential, 1);
-  const auto parallel = workload.run(warm_parallel, 4);
-  expect_identical(sequential, parallel);
-  expect_identical(sequential, workload.run(cold_sequential, 1));
-}
-
 TEST(ParallelSimulator, IdenticalUnderChurnAndDeltaCharging) {
   const Workload workload;
   RbcaerScheme sequential_scheme;
