@@ -36,8 +36,10 @@ int main(int argc, char** argv) {
   const double v_squared =
       static_cast<double>(world.hotspots().size()) *
       static_cast<double>(world.hotspots().size());
-  const auto candidates =
-      candidate_edges_pairscan(world.hotspots(), partition, 1e9);
+  constexpr double kMaxThetaKm = 7.5;
+  // Every pair any θ row can see (the loop's θ drifts a hair past 7.5).
+  const auto candidates = candidate_edges(world.hotspots(), partition,
+                                          kMaxThetaKm + 0.01, index);
 
   std::printf("=== Fig. 9: influence of the collaboration radius theta ===\n");
   std::printf("|V| = %zu hotspots; overloaded %zu, under-utilized %zu; "
@@ -47,12 +49,21 @@ int main(int argc, char** argv) {
               static_cast<long long>(max_movable));
   std::printf("%-10s %14s %16s\n", "theta(km)", "% of |V|^2",
               "% of maxflow");
-  for (double theta = 0.0; theta <= 7.51; theta += 0.75) {
-    HotspotPartition working = partition;
-    BalanceGraph graph = build_gd(working, candidates, theta);
-    const std::size_t edges = graph.pair_edges.size();
-    const std::int64_t flow =
-        Dinic::solve(graph.net, graph.source, graph.sink);
+  FlowNetwork net{0};
+  ScaffoldMap map;
+  std::vector<CandidateEdge> live;
+  std::vector<PairEdge> pair_edges;
+  for (double theta = 0.0; theta <= kMaxThetaKm + 0.01; theta += 0.75) {
+    // Gd at this θ on the initial slack, solved from scratch.
+    build_scaffold(net, partition, map);
+    live.clear();
+    for (const CandidateEdge& c : candidates) {
+      if (c.distance_km < theta) live.push_back(c);
+    }
+    pair_edges.clear();
+    append_gd_edges(net, map, partition, live, pair_edges);
+    const std::size_t edges = pair_edges.size();
+    const std::int64_t flow = Dinic::solve(net, map.source, map.sink);
     std::printf("%-10.2f %13.1f%% %15.1f%%\n", theta,
                 100.0 * static_cast<double>(edges) / v_squared,
                 max_movable > 0

@@ -12,12 +12,11 @@
 //     aggregates same-cluster flow so that Procedure 1 can serve many
 //     redirected requests with few extra replicas.
 //
-// Construction is split in two layers: build_gd/build_gc return a
-// self-contained BalanceGraph (the cold rebuild-per-θ path of the test
-// oracle, tests/support/cold_sweep.h, and of fig9's θ study), while
-// build_scaffold/append_gd_edges/append_gc_edges build the same structure
+// build_scaffold/append_gd_edges/append_gc_edges build the graphs
 // piecewise into a caller-owned FlowNetwork — that is what the incremental
 // θ sweep (core/theta_sweep.h) uses to keep one persistent network per slot.
+// The test oracle's self-contained rebuild-per-θ graphs live in
+// tests/support/cold_graph.h.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +24,6 @@
 #include <span>
 #include <vector>
 
-#include "flow/mcmf.h"
 #include "flow/network.h"
 #include "geo/grid_index.h"
 #include "model/types.h"
@@ -55,35 +53,20 @@ struct CandidateEdge {
 };
 
 /// All pairs with distance < radius_km (the widest θ the caller will use),
-/// via the O(|Hs|·|Ht|) pair scan. Kept as the differential oracle for the
-/// GridIndex overload below (and for tiny fixtures); production slot
-/// planning must use the indexed version.
-[[nodiscard]] std::vector<CandidateEdge> candidate_edges_pairscan(
-    std::span<const Hotspot> hotspots, const HotspotPartition& partition,
-    double radius_km);
-
-/// Same result, computed with a radius query per overloaded hotspot against
-/// `index` (a GridIndex over the hotspot locations, same order) instead of
-/// the O(|Hs|·|Ht|) pair scan. Edges come back in the same order as the
-/// scan: by partition.overloaded order, then ascending receiver index.
+/// computed with a radius query per overloaded hotspot against `index` (a
+/// GridIndex over the hotspot locations, same order) instead of an
+/// O(|Hs|·|Ht|) pair scan. Edges come back in pair-scan order: by
+/// partition.overloaded order, then ascending receiver index.
 [[nodiscard]] std::vector<CandidateEdge> candidate_edges(
     std::span<const Hotspot> hotspots, const HotspotPartition& partition,
     double radius_km, const GridIndex& index);
 
-/// A constructed balancing graph plus the bookkeeping needed to read
-/// per-(i,j) flows back out after MCMF.
-struct BalanceGraph {
-  FlowNetwork net{0};
-  NodeId source = 0;
-  NodeId sink = 0;
-
-  struct PairEdge {
-    std::uint32_t from = 0;
-    std::uint32_t to = 0;
-    EdgeId edge = 0;  // forward edge carrying f_ij (direct or i→n_kj)
-  };
-  std::vector<PairEdge> pair_edges;
-  std::size_t num_guide_nodes = 0;
+/// The flow-network edge that carries the pair (i, j)'s flow f_ij, recorded
+/// by the append_* builders so flows can be read back out after MCMF.
+struct PairEdge {
+  std::uint32_t from = 0;
+  std::uint32_t to = 0;
+  EdgeId edge = 0;  // forward edge carrying f_ij (direct or i→n_kj)
 };
 
 /// Dense hotspot → flow-node map for a scaffold built by build_scaffold.
@@ -115,7 +98,7 @@ void build_scaffold(FlowNetwork& net, const HotspotPartition& partition,
 void append_gd_edges(FlowNetwork& net, const ScaffoldMap& map,
                      const HotspotPartition& partition,
                      std::span<const CandidateEdge> live,
-                     std::vector<BalanceGraph::PairEdge>& pair_edges);
+                     std::vector<PairEdge>& pair_edges);
 
 /// Options for the guide-node construction.
 struct GuideOptions {
@@ -169,23 +152,8 @@ std::size_t append_gc_edges(FlowNetwork& net, const ScaffoldMap& map,
                             double theta_km,
                             std::span<const std::uint32_t> cluster_of,
                             const GuideOptions& options,
-                            std::vector<BalanceGraph::PairEdge>& pair_edges,
+                            std::vector<PairEdge>& pair_edges,
                             GcScratch& scratch);
-
-/// Build Gd over the candidate pairs with d_ij < theta_km, using the
-/// partition's *current* φ values (pairs whose endpoint has φ = 0 are
-/// dropped).
-[[nodiscard]] BalanceGraph build_gd(const HotspotPartition& partition,
-                                    std::span<const CandidateEdge> candidates,
-                                    double theta_km);
-
-/// Build Gc: Gd plus flow-guide nodes derived from content-cluster labels
-/// (one label per hotspot, e.g. from hierarchical_cluster).
-[[nodiscard]] BalanceGraph build_gc(const HotspotPartition& partition,
-                                    std::span<const CandidateEdge> candidates,
-                                    double theta_km,
-                                    std::span<const std::uint32_t> cluster_of,
-                                    const GuideOptions& options = {});
 
 /// Per-(i,j) redirected amount.
 struct FlowEntry {
@@ -195,12 +163,8 @@ struct FlowEntry {
 };
 
 /// Sort `entries` by (from, to) and merge duplicates in place, summing
-/// amounts. The shared flatten step for extract_flows and the per-slot
-/// f_total accumulators.
+/// amounts. The shared flatten step for the θ-sweep commits and the
+/// per-slot f_total accumulators.
 void merge_flow_entries(std::vector<FlowEntry>& entries);
-
-/// Read the per-pair flows out of a solved graph (entries with flow > 0,
-/// merged by pair, ordered by (from, to)).
-[[nodiscard]] std::vector<FlowEntry> extract_flows(const BalanceGraph& graph);
 
 }  // namespace ccdn

@@ -192,11 +192,8 @@ SlotPlan RbcaerScheme::plan_slot(const SchemeContext& context,
 
   stage_timings_.partition_s = stage_clock.elapsed_seconds();
 
-  // Sharded planning (DESIGN.md §3.12): explicit config wins, else inherit
-  // the simulation-wide shard count from the context. 0 = classic
-  // unsharded path.
-  const std::size_t num_shards = std::min(
-      config_.num_shards != 0 ? config_.num_shards : context.num_shards, m);
+  // Sharded planning (DESIGN.md §3.12); 0 = classic unsharded path.
+  const std::size_t num_shards = std::min(config_.num_shards, m);
   const bool sharded = num_shards >= 1;
 
   // --- Content clustering (only needed when aggregation is on and there

@@ -68,10 +68,9 @@ struct RbcaerConfig {
   /// commit (flow conservation, frozen residual costs, carried potentials).
   /// Violations throw InvariantError naming the invariant (DESIGN.md §3.8).
   AuditLevel audit_level = AuditLevel::kOff;
-  /// Zone-sharded parallel flow solve (DESIGN.md §3.12). 0 inherits
-  /// SchemeContext::num_shards (itself 0 by default = classic unsharded
-  /// planning); 1 runs the sharded orchestration with a single shard, which
-  /// is bit-identical to the unsharded path; >= 2 partitions the hotspots
+  /// Zone-sharded parallel flow solve (DESIGN.md §3.12). 0 = classic
+  /// unsharded planning; 1 runs the sharded orchestration with a single
+  /// shard, which is bit-identical to the unsharded path; >= 2 partitions the hotspots
   /// into that many geo zones, solves each zone independently, and
   /// reconciles boundary residuals with one cross-shard exchange round.
   /// Values above the hotspot count are clamped.

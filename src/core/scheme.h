@@ -58,10 +58,6 @@ struct SchemeContext {
   const GridIndex& hotspot_index;
   VideoCatalog catalog;
   double cdn_distance_km = kCdnDistanceKm;
-  /// Simulation-wide shard count for schemes that support zone-sharded
-  /// planning (DESIGN.md §3.12). 0 = unsharded. Schemes may override via
-  /// their own config; schemes without a sharded path ignore it.
-  std::size_t num_shards = 0;
   /// True when plan_slot is being invoked from a multithreaded executor
   /// (the simulator's clone-ring lanes). Set by the simulator, not by
   /// users. Sharded schemes then solve their shards serially instead of on

@@ -16,18 +16,20 @@
 //      hotspots whose candidate radius crosses a shard cut, so their local
 //      solve was blind to receivers across it) offer their remaining
 //      overload to the residual slack of every hotspot within the exchange
-//      radius — in any shard, the sender's own included. The reduced
-//      network (flow/exchange.h) is re-solved at increasing distance
-//      radii (θ1, θ1+δ, … up to the exchange radius), mirroring the global
-//      sweep's closest-first commitment discipline; a single max-flow at
-//      the full radius would move strictly more traffic than the global
-//      solve and inflate the optimality gap.
+//      radius — in any shard, the sender's own included. The exchange is a
+//      ThetaSweeper Gd sweep (core/theta_sweep.h) over those senders'
+//      candidate arcs at increasing distance radii (θ1, θ1+δ, … up to the
+//      exchange radius), mirroring the global sweep's closest-first
+//      commitment discipline; a single max-flow at the full radius would
+//      move strictly more traffic than the global solve and inflate the
+//      optimality gap.
 //
 // The caller's partition.phi ends up accounting for every committed unit,
 // so the merged flow list satisfies the same audit_flow_entries contract as
 // an unsharded slot. Per-shard locality and exchange boundary-sender
 // structure are audited via verify/shard_audit.h (checked builds, audit
-// level >= kPlan).
+// level >= kPlan); at kFull the sweeper also audits every exchange step's
+// flow network.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +39,6 @@
 #include <vector>
 
 #include "core/balance_graph.h"
-#include "flow/mcmf.h"
 #include "geo/zone_partition.h"
 #include "model/types.h"
 #include "verify/audit.h"
@@ -90,7 +91,7 @@ struct ShardedSolveOutcome {
   std::size_t boundary_hotspots = 0;
   /// Wall time of the executor phase (dispatch → every shard joined).
   double shard_wall_s = 0.0;
-  /// Wall time of the exchange round (arc build + reduced solve + commit).
+  /// Wall time of the exchange round (arc build + θ steps + commit).
   double exchange_s = 0.0;
 };
 

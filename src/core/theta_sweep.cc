@@ -58,8 +58,7 @@ void ThetaSweeper::begin_slot(HotspotPartition& partition,
   gd_batch_done_ = false;
   live_.clear();
   arrivals_.clear();
-  last_kind_ = StepKind::kNone;
-  last_flow_ = 0;
+  last_gc_idle_ = false;
   last_guide_nodes_ = 0;
   gd_solver_.reset_potentials(net_.num_nodes());
 }
@@ -197,8 +196,6 @@ SweepStep ThetaSweeper::step_gd(double theta_km) {
       // and freezing only removes residual arcs, so with no new edges the
       // answer is still "no flow": skip the search entirely.
       out.graph_s = clock.elapsed_seconds();
-      last_kind_ = StepKind::kGdPersistent;
-      last_flow_ = 0;
       return out;
     }
     const auto first_new = static_cast<EdgeId>(2 * net_.num_edges());
@@ -263,16 +260,19 @@ SweepStep ThetaSweeper::step_gd(double theta_km) {
     out.cost = res.cost;
     out.mcmf_s = clock.elapsed_seconds();
     commit(out);
-    last_kind_ = StepKind::kGdPersistent;
-    last_flow_ = res.flow;
     return out;
   }
 
   // Transient regime (a step_gc ran earlier this slot, e.g. the residual
-  // Gd pass of Algorithm 1 line 12).
-  const std::size_t arrived = collect_arrivals(theta_km);
-  if (arrived == 0 && last_flow_ == 0 &&
-      last_kind_ == StepKind::kGdTransient) {
+  // Gd pass of Algorithm 1 line 12). With no arrivals since the previous
+  // transient step, a rebuilt Gd cannot move anything. That step's graph
+  // held every live pair, either as a direct edge (cap min(φ_i, φ_j)) or as
+  // a member edge into a guide node whose aggregate arc has cap
+  // min(Σ member caps, φ_j). After its max-flow, a live pair with slack
+  // left at both ends would still be an augmenting path, so every live
+  // pair now has a spent endpoint, and a Gd over the same live set is
+  // empty.
+  if (collect_arrivals(theta_km) == 0) {
     out.graph_s = clock.elapsed_seconds();
     return out;
   }
@@ -306,8 +306,7 @@ SweepStep ThetaSweeper::step_gd(double theta_km) {
     }
   }
   commit(out);
-  last_kind_ = StepKind::kGdTransient;
-  last_flow_ = res.flow;
+  last_gc_idle_ = false;
   return out;
 }
 
@@ -320,7 +319,7 @@ SweepStep ThetaSweeper::step_gc(double theta_km,
   if (!transient_) switch_to_transient();
 
   const std::size_t arrived = collect_arrivals(theta_km);
-  if (arrived == 0 && last_flow_ == 0 && last_kind_ == StepKind::kGc) {
+  if (arrived == 0 && last_gc_idle_) {
     // Same live set and same φ as the previous build: the rebuilt Gc would
     // be identical, and its solve already came back empty.
     out.guide_nodes = last_guide_nodes_;
@@ -354,8 +353,7 @@ SweepStep ThetaSweeper::step_gc(double theta_km,
     }
   }
   commit(out);
-  last_kind_ = StepKind::kGc;
-  last_flow_ = res.flow;
+  last_gc_idle_ = res.flow == 0;
   return out;
 }
 

@@ -1,7 +1,7 @@
 // Incremental θ sweep for Algorithm 1 (the warm-started MCMF loop).
 //
 // The cold path (the differential oracle in tests/support/cold_sweep.h)
-// rebuilds a BalanceGraph and re-solves MCMF from zero flow at every θ
+// rebuilds the Gd/Gc graph and re-solves MCMF from zero flow at every θ
 // step, even though consecutive steps differ only by the candidate edges
 // with d ∈ [θ_prev, θ). ThetaSweeper keeps ONE FlowNetwork per slot:
 // the source/sink scaffold is built once, the candidate list is sorted by
@@ -129,8 +129,6 @@ class ThetaSweeper {
   }
 
  private:
-  enum class StepKind { kNone, kGdPersistent, kGdTransient, kGc };
-
   /// Pull candidates with d < θ past the cursor into `arrivals_`
   /// (original-order indices, ascending). Returns how many arrived.
   std::size_t collect_arrivals(double theta_km);
@@ -177,7 +175,7 @@ class ThetaSweeper {
   FlowNetwork net_{0};
   ScaffoldMap map_;
   FlowNetwork::Checkpoint scaffold_cp_;
-  std::vector<BalanceGraph::PairEdge> pair_edges_;
+  std::vector<PairEdge> pair_edges_;
   std::vector<std::int64_t> committed_;  // per pair edge, persistent regime
 
   // Per-node id of the scaffold's source→sender arc, and the focused subset
@@ -202,8 +200,9 @@ class ThetaSweeper {
       &arena_)};
   GcScratch gc_scratch_{&arena_};
 
-  StepKind last_kind_ = StepKind::kNone;
-  std::int64_t last_flow_ = 0;
+  // The previous solved step was a step_gc that moved nothing, over
+  // `last_guide_nodes_` guide nodes.
+  bool last_gc_idle_ = false;
   std::size_t last_guide_nodes_ = 0;
   AuditLevel audit_level_ = AuditLevel::kOff;
 };

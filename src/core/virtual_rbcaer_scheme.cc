@@ -70,8 +70,7 @@ SweepTotals regional_flow_sweep(const RbcaerConfig& rc,
                                 HotspotPartition& partition,
                                 std::int64_t max_movable,
                                 std::span<const std::uint32_t> cluster_of) {
-  // Radius queries against a centroid index, like the flat scheme (the
-  // pair-scan candidate_edges_pairscan overload is test-only).
+  // Radius queries against a centroid index, like the flat scheme.
   std::vector<GeoPoint> centroids;
   centroids.reserve(hotspots.size());
   for (const auto& vh : hotspots) centroids.push_back(vh.location);
@@ -169,8 +168,7 @@ SlotPlan VirtualRbcaerScheme::plan_slot(const SchemeContext& context,
     // shard exactly like flat hotspots do, with the global cluster labels
     // restricted per shard (labels are only grouping keys, so restriction
     // preserves the Gc structure within a shard).
-    const std::size_t num_shards = std::min(
-        rc.num_shards != 0 ? rc.num_shards : context.num_shards, num_regions);
+    const std::size_t num_shards = std::min(rc.num_shards, num_regions);
     if (num_shards >= 1) {
       std::vector<GeoPoint> centroids;
       centroids.reserve(num_regions);

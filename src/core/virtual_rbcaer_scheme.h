@@ -77,7 +77,7 @@ class VirtualRbcaerScheme final : public RedirectionScheme {
     std::int64_t region_max_movable = 0;
     std::int64_t region_moved = 0;
     std::int64_t localized_redirects = 0;
-    /// Sharded regional solve (regional.num_shards / context.num_shards);
+    /// Sharded regional solve (regional.num_shards);
     /// zero when the region sweep ran unsharded.
     std::size_t shards = 0;
     std::size_t boundary_regions = 0;

@@ -222,13 +222,14 @@ SimulationReport Simulator::run(RedirectionScheme& scheme,
                "offline probability outside [0,1)");
   SimulationReport report(catalog_.num_videos, config_.cdn_distance_km);
   const SchemeContext context{hotspots_, index_, catalog_,
-                              config_.cdn_distance_km, config_.num_shards};
+                              config_.cdn_distance_km};
 
   // Churn masks are drawn on the pulling thread in slot order, with the
   // same per-slot draw count no matter how slots are later scheduled
   // across threads, so availability matches the classic sequential loop
   // bit for bit.
-  Rng churn_rng(config_.churn_seed);
+  constexpr std::uint64_t kChurnSeed = 4242;
+  Rng churn_rng(kChurnSeed);
   const bool churn = config_.offline_probability > 0.0;
   const auto draw_mask = [&] {
     std::vector<std::uint8_t> mask;

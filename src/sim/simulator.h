@@ -39,9 +39,9 @@ struct SimulationConfig {
   /// with this probability. Crowdsourced devices are user hardware — they
   /// reboot, lose uplink, get unplugged. The scheduler plans *unaware*
   /// (liveness is only discovered when a redirected request fails), which
-  /// is the pessimistic deployment case. 0 disables churn.
+  /// is the pessimistic deployment case. 0 disables churn. The offline
+  /// draws come from a fixed seed, so a run's churn is reproducible.
   double offline_probability = 0.0;
-  std::uint64_t churn_seed = 4242;
   /// Worker threads for the slot-scheduling pipeline. 1 (default) runs the
   /// classic sequential loop; 0 means "use all hardware threads". With N > 1
   /// independent slots are planned and admitted concurrently on a fixed
@@ -75,12 +75,6 @@ struct SimulationConfig {
   /// reuse and never leaks into plans. Doubles the planning work; off by
   /// default, meant for tests. Schemes without clone() are skipped.
   bool verify_clone_purity = false;
-  /// Zone-sharded planning (DESIGN.md §3.12), forwarded to the schemes via
-  /// SchemeContext::num_shards. 0 = unsharded; 1 = sharded orchestration
-  /// with one shard (bit-identical to unsharded); >= 2 = real sharding.
-  /// Schemes without a sharded path ignore it, and a scheme's own
-  /// num_shards config overrides it.
-  std::size_t num_shards = 0;
 };
 
 struct SlotMetrics {

@@ -3,10 +3,17 @@
 #include <gtest/gtest.h>
 
 #include "flow/mcmf.h"
+#include "support/cold_graph.h"
 #include "util/error.h"
 
 namespace ccdn {
 namespace {
+
+using oracle::BalanceGraph;
+using oracle::build_gc;
+using oracle::build_gd;
+using oracle::candidate_edges_pairscan;
+using oracle::extract_flows;
 
 /// Four hotspots on a west-east line ~1.4 km apart.
 std::vector<Hotspot> line_hotspots() {

@@ -4,16 +4,20 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/rbcaer_scheme.h"
+#include "core/virtual_rbcaer_scheme.h"
 #include "geo/zone_partition.h"
 #include "trace/generator.h"
 #include "trace/world.h"
 #include "util/thread_pool.h"
+#include "verify/schedule_audit.h"
 #include "verify/shard_audit.h"
 
 namespace ccdn {
@@ -134,6 +138,69 @@ TEST(ShardedRbcaer, DiagnosticsReflectSharding) {
   // A 4-way cut of a 60-hotspot cloud with θ2-radius candidates always
   // leaves someone near a cut.
   EXPECT_GT(diagnostics.boundary_hotspots, 0u);
+}
+
+// The golden digests cannot see the exchange round: it moves nothing in
+// every slot of every golden sharded variant. On this fixture it moves flow
+// in every variant below, so each pinned plan digest covers the exchange's
+// θ grid, arc set and commit order. Virtual variants shard the fixture's
+// 0.5 km regions.
+struct ExchangePin {
+  const char* name;
+  bool virtual_scheme;
+  bool aggregation;
+  std::size_t shards;
+  std::uint64_t digest;
+};
+
+const ExchangePin kExchangePins[] = {
+    {"flat/agg/S=2", false, true, 2, 0x8404ec020bf81c9dULL},
+    {"flat/agg/S=4", false, true, 4, 0x7631e58d18838b06ULL},
+    {"flat/agg/S=8", false, true, 8, 0xdefafbe18a80c695ULL},
+    {"flat/noagg/S=2", false, false, 2, 0xa7fd7e49739e71b5ULL},
+    {"flat/noagg/S=4", false, false, 4, 0xa7fd7e49739e71b5ULL},
+    {"flat/noagg/S=8", false, false, 8, 0xa7e4f0ed3a044072ULL},
+    {"virtual/agg/S=2", true, true, 2, 0xd627bd7d19883f89ULL},
+    {"virtual/agg/S=4", true, true, 4, 0xc1fff126dd18f10bULL},
+};
+
+std::string hex(std::uint64_t value) {
+  char buffer[19];
+  std::snprintf(buffer, sizeof(buffer), "0x%016llx",
+                static_cast<unsigned long long>(value));
+  return buffer;
+}
+
+TEST(ShardedRbcaer, ExchangeRoundPinnedDigests) {
+  const Fixture fixture;
+  const SchemeContext context = fixture.context();
+  const SlotDemand demand(fixture.trace, fixture.index);
+  for (const ExchangePin& pin : kExchangePins) {
+    SlotPlan plan;
+    std::int64_t exchange_moved = 0;
+    if (pin.virtual_scheme) {
+      VirtualRbcaerConfig config;
+      config.region_km = 0.5;
+      config.regional.content_aggregation = pin.aggregation;
+      config.regional.num_shards = pin.shards;
+      config.regional.audit_level = AuditLevel::kFull;
+      VirtualRbcaerScheme scheme(config);
+      plan = scheme.plan_slot(context, fixture.trace, demand);
+      exchange_moved = scheme.last_diagnostics().exchange_moved;
+    } else {
+      RbcaerConfig config;
+      config.content_aggregation = pin.aggregation;
+      config.num_shards = pin.shards;
+      config.audit_level = AuditLevel::kFull;
+      RbcaerScheme scheme(config);
+      plan = scheme.plan_slot(context, fixture.trace, demand);
+      exchange_moved = scheme.last_diagnostics().exchange_moved;
+    }
+    EXPECT_GT(exchange_moved, 0) << pin.name;
+    EXPECT_EQ(plan_digest(plan), pin.digest)
+        << pin.name << " digest " << hex(plan_digest(plan)) << " moved "
+        << exchange_moved;
+  }
 }
 
 // A shard that throws must not leave its siblings running on the pool

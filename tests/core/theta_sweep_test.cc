@@ -10,6 +10,7 @@
 #include "core/balance_graph.h"
 #include "core/rbcaer_scheme.h"
 #include "flow/mcmf.h"
+#include "support/cold_graph.h"
 #include "support/cold_sweep.h"
 #include "trace/generator.h"
 #include "trace/world.h"
@@ -18,6 +19,7 @@
 namespace ccdn {
 namespace {
 
+using oracle::candidate_edges_pairscan;
 using oracle::cold_sweep;
 using oracle::SweepRecord;
 
@@ -77,7 +79,6 @@ SweepRecord warm_sweep(HotspotPartition partition,
   sweeper.end_slot();
   merge_flow_entries(rec.flows);
   rec.phi = partition.phi;
-  rec.reprices = sweeper.potential_reprices();
   return rec;
 }
 
@@ -187,8 +188,9 @@ TEST_P(ThetaSweepDifferential, DijkstraPotentialsStayValidAcrossSteps) {
   // Potentials-validity property test: the warm Gd sweep carries Dijkstra
   // potentials across edge insertions. Stale potentials would trip the
   // "negative reduced cost" CCDN_ENSURE inside the Dijkstra search (the
-  // live assertion here); potentials_valid_for + reprice must keep the
-  // sweep both running and agreeing with the SPFA oracle.
+  // live assertion here); the sweep must keep running and agree with the
+  // SPFA oracle. None of these seeds triggers a re-price; the re-price
+  // path is pinned by McmfSolver.DetectsStalePotentialsAndReprices.
   Rng rng(GetParam() * 524287 + 1);
   const Instance inst = random_instance(rng, 30, 4);
   const HotspotPartition partition =
@@ -205,9 +207,6 @@ TEST_P(ThetaSweepDifferential, DijkstraPotentialsStayValidAcrossSteps) {
   EXPECT_EQ(warm.moved, oracle.moved);
   EXPECT_NEAR(warm.cost, oracle.cost, 1e-6);
   EXPECT_EQ(warm.phi, oracle.phi);
-  // Re-prices are rare (freezing restores validity at each commit) but
-  // must be accounted for whenever they do happen.
-  EXPECT_GE(warm.reprices, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomPartitions, ThetaSweepDifferential,
@@ -296,10 +295,10 @@ std::vector<Request> hot_demand(int count, std::vector<VideoId> videos) {
   return requests;
 }
 
-void expect_same_plan_and_diagnostics(RbcaerConfig config,
-                                      const SchemeContext& context,
-                                      std::span<const Request> requests,
-                                      const SlotDemand& demand) {
+/// Returns the oracle's residual-pass share of the moved flow.
+std::int64_t expect_same_plan_and_diagnostics(
+    RbcaerConfig config, const SchemeContext& context,
+    std::span<const Request> requests, const SlotDemand& demand) {
   // Miss rerouting reads only the finished plan, so plans equal without it
   // stay equal with it; the oracle stops at Procedure 1.
   config.miss_redirection = false;
@@ -315,6 +314,7 @@ void expect_same_plan_and_diagnostics(RbcaerConfig config,
   }
   EXPECT_TRUE(diverged.empty()) << "warm plan differs from the oracle in:"
                                 << diverged;
+  return cold.residual_moved;
 }
 
 TEST(ThetaSweepScheme, IncrementalMatchesColdOnSeedScenarios) {
@@ -331,7 +331,8 @@ TEST(ThetaSweepScheme, IncrementalMatchesColdOnSeedScenarios) {
                                      demand);
   }
   {
-    Fixture fixture;  // over-subscribed: residual Gd pass engages
+    Fixture fixture;  // over-subscribed (the grid ends at θ2, so the
+                      // residual pass moves nothing; see OffGridResidual)
     const auto requests = hot_demand(40, {1, 2, 3, 4});
     const SlotDemand demand(requests, fixture.index);
     expect_same_plan_and_diagnostics(config, fixture.context(), requests,
@@ -359,32 +360,66 @@ TEST(ThetaSweepScheme, IncrementalMatchesColdWithoutAggregation) {
                                    demand);
 }
 
+/// The 80-hotspot evaluation-region slot the generated-world cases plan.
+struct GeneratedWorld {
+  World world;
+  std::vector<Request> trace;
+  GridIndex index;
+
+  GeneratedWorld()
+      : world([] {
+          WorldConfig config = WorldConfig::evaluation_region();
+          config.num_hotspots = 80;
+          config.num_videos = 2000;
+          World w = generate_world(config);
+          assign_uniform_capacities(w, 0.05, 0.03);
+          return w;
+        }()),
+        trace([this] {
+          TraceConfig trace_config;
+          trace_config.num_requests = 12000;
+          return generate_trace(world, trace_config);
+        }()),
+        index(world.hotspot_locations(), 0.75) {}
+
+  [[nodiscard]] SchemeContext context() const {
+    return {world.hotspots(), index, VideoCatalog{world.config().num_videos},
+            20.0};
+  }
+};
+
 TEST(ThetaSweepScheme, IncrementalMatchesColdOnGeneratedWorld) {
-  WorldConfig world_config = WorldConfig::evaluation_region();
-  world_config.num_hotspots = 80;
-  world_config.num_videos = 2000;
-  World world = generate_world(world_config);
-  assign_uniform_capacities(world, 0.05, 0.03);
-  TraceConfig trace_config;
-  trace_config.num_requests = 12000;
-  const auto trace = generate_trace(world, trace_config);
-
-  std::vector<GeoPoint> pts;
-  for (const auto& h : world.hotspots()) pts.push_back(h.location);
-  const GridIndex index(std::move(pts), 0.75);
-  const SchemeContext context{world.hotspots(),
-                              index,
-                              VideoCatalog{world_config.num_videos}, 20.0};
-  const SlotDemand demand(trace, index);
-
+  const GeneratedWorld generated;
+  const SlotDemand demand(generated.trace, generated.index);
   RbcaerConfig config;
   config.theta1_km = 0.3;
   config.theta2_km = 1.5;
   config.delta_km = 0.1;
-  expect_same_plan_and_diagnostics(config, context, trace, demand);
+  expect_same_plan_and_diagnostics(config, generated.context(),
+                                   generated.trace, demand);
 
   config.content_aggregation = false;
-  expect_same_plan_and_diagnostics(config, context, trace, demand);
+  expect_same_plan_and_diagnostics(config, generated.context(),
+                                   generated.trace, demand);
+}
+
+// A grid that stops short of θ2 (0.5, 0.9, 1.3): the candidates with
+// d in [1.3, 1.5) first appear in the residual Gd pass at θ2 (Algorithm 1
+// line 12), so here that pass must move flow and match the oracle's.
+TEST(ThetaSweepScheme, IncrementalMatchesColdOffGridResidual) {
+  const GeneratedWorld generated;
+  const SlotDemand demand(generated.trace, generated.index);
+  RbcaerConfig config;
+  config.theta1_km = 0.5;
+  config.theta2_km = 1.5;
+  config.delta_km = 0.4;
+  for (const bool aggregation : {true, false}) {
+    config.content_aggregation = aggregation;
+    EXPECT_GT(expect_same_plan_and_diagnostics(config, generated.context(),
+                                               generated.trace, demand),
+              0)
+        << "aggregation " << aggregation;
+  }
 }
 
 }  // namespace

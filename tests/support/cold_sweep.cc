@@ -7,6 +7,7 @@
 #include "core/replication.h"
 #include "flow/mcmf.h"
 #include "model/topsets.h"
+#include "support/cold_graph.h"
 #include "util/error.h"
 #include "util/stopwatch.h"
 
@@ -59,7 +60,8 @@ ColdSweepOutcome cold_theta_sweep(const RbcaerConfig& config,
     BalanceGraph graph = build_gd(partition, candidates, config.theta2_km);
     out.graph_s += stage_clock.elapsed_seconds();
     stage_clock.reset();
-    (void)MinCostMaxFlow::solve(graph.net, graph.source, graph.sink);
+    out.residual_moved =
+        MinCostMaxFlow::solve(graph.net, graph.source, graph.sink).flow;
     out.mcmf_s += stage_clock.elapsed_seconds();
     absorb(extract_flows(graph));
   }
@@ -125,6 +127,7 @@ ColdPlan cold_plan_slot(const RbcaerConfig& config,
         cold_theta_sweep(config, context.hotspots, context.hotspot_index,
                          partition, max_movable, cluster_of);
     out.moved = sweep.moved;
+    out.residual_moved = sweep.residual_moved;
     out.guide_nodes = sweep.guide_nodes;
     out.theta_iterations = sweep.theta_iterations;
     out.graph_s = sweep.graph_s;

@@ -24,6 +24,7 @@ namespace ccdn::oracle {
 struct ColdSweepOutcome {
   std::vector<FlowEntry> flows;  // per-θ increments, unmerged
   std::int64_t moved = 0;
+  std::int64_t residual_moved = 0;  // the residual Gd pass's share
   std::size_t guide_nodes = 0;
   std::size_t theta_iterations = 0;
   double graph_s = 0.0;
@@ -47,7 +48,6 @@ struct SweepRecord {
   std::size_t guide_nodes = 0;
   std::vector<FlowEntry> flows;   // merged across all steps
   std::vector<std::int64_t> phi;  // partition slack after the sweep
-  std::size_t reprices = 0;       // warm sweeps only
 };
 
 [[nodiscard]] SweepRecord cold_sweep(
@@ -63,6 +63,7 @@ struct SweepRecord {
 struct ColdPlan {
   SlotPlan plan;
   std::int64_t moved = 0;
+  std::int64_t residual_moved = 0;
   std::size_t guide_nodes = 0;
   std::size_t theta_iterations = 0;
   std::size_t num_clusters = 0;

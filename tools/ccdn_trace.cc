@@ -13,11 +13,12 @@
 //
 //   ccdn_trace simulate --in=trace.csv --scheme=rbcaer|nearest|random|virtual
 //                       [--capacity=0.05] [--cache=0.03] [--hotspots=310]
-//                       [--stream] [--threads=1] [--window=0]
+//                       [--stream] [--threads=1] [--window=0] [--shards=0]
 //       Run one scheme over the trace and print the four paper metrics.
 //       --stream pulls slot batches straight off the CSV (bounded memory,
 //       bit-identical report); --threads/--window size the pipelined
-//       executor (window 0 = 2x threads).
+//       executor (window 0 = 2x threads); --shards sets the rbcaer and
+//       virtual schemes' zone-shard count (0 = unsharded).
 //
 // The world is regenerated from the same --seed/--hotspots/--videos flags,
 // so a trace file plus its generation flags fully reproduces a run. A flag
@@ -162,10 +163,14 @@ int cmd_simulate(const Flags& flags) {
   // path in benchmarks.
   const SimdMode simd =
       parse_simd_mode(flags.get_string("simd", "auto"));
+  // Zone-sharded planning (0 = unsharded) for the RBCAer family; the
+  // stateless baselines have no sharded path.
+  const auto shards = static_cast<std::size_t>(flags.get_int("shards", 0));
   SchemePtr scheme;
   if (scheme_name == "rbcaer") {
     RbcaerConfig config;
     config.simd = simd;
+    config.num_shards = shards;
     scheme = std::make_unique<RbcaerScheme>(config);
   } else if (scheme_name == "nearest") {
     scheme = std::make_unique<NearestScheme>();
@@ -174,6 +179,7 @@ int cmd_simulate(const Flags& flags) {
   } else if (scheme_name == "virtual") {
     VirtualRbcaerConfig config;
     config.regional.simd = simd;
+    config.regional.num_shards = shards;
     scheme = std::make_unique<VirtualRbcaerScheme>(config);
   } else {
     std::fprintf(stderr,
@@ -188,10 +194,6 @@ int cmd_simulate(const Flags& flags) {
       static_cast<std::size_t>(flags.get_int("threads", 1));
   sim_config.max_inflight_slots =
       static_cast<std::size_t>(flags.get_int("window", 0));
-  // Zone-sharded planning (0 = unsharded); the RBCAer family inherits it
-  // via SchemeContext, the stateless baselines ignore it.
-  sim_config.num_shards =
-      static_cast<std::size_t>(flags.get_int("shards", 0));
   const bool stream = flags.get_bool("stream", false);
   if (has_unknown_flags(flags)) return 2;
   const Simulator simulator(world.hotspots(),

@@ -130,9 +130,6 @@ WHITELIST = {
         "path_cost sums a parent-chain walk (fixed order per augmentation) "
         "and result.cost sums augmentations in the order the solver finds "
         "them; both orders are functions of the input graph alone",
-    ("src/flow/decompose.cc", "double-cost-accumulation"):
-        "unit_cost sums one parent-chain walk per decomposed path; the "
-        "walk order is fixed by the predecessor array",
 }
 
 
